@@ -9,18 +9,28 @@ fixed float formatting (CSV schema v1, documented in the README).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import AnsatzParams, build_optimized, build_traditional
 from .graphs import Graph, generate_complete, generate_cycle, generate_erdos_renyi
-from .scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered, verify_schedule
+from .scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
 from .simulate import NoiseParams, run_noisy
-from .trees import HeuristicConfig, build_dfs_tree, build_greedy_tree
+from .trees import (
+    HeuristicConfig, RootedSpanningTree, build_bfs_tree, build_dfs_tree, build_greedy_tree,
+)
+
+# Unused here, but perfbench/spans.py traces the package by patching the
+# names each module looks up; removing one makes Tracer.install fail.
+from .scheduling import verify_schedule  # noqa: F401
 
 FAMILIES = ("erdos_renyi", "complete", "cycle")
-STRATEGIES = ("traditional", "dfs", "greedy")
+# every synthesis strategy; all but "traditional" build a rooted spanning tree
+STRATEGIES = ("traditional", "dfs", "bfs", "greedy")
+TREE_STRATEGIES = STRATEGIES[1:]
+# the paper's three strategies, swept by default
+SWEEP_STRATEGIES = ("traditional", "dfs", "greedy")
 
 CSV_SCHEMA_VERSION = 1
 DEPTH_COLUMNS = (
@@ -45,10 +55,9 @@ class ExperimentConfig:
     p_edge: float | None = None
     trials: int = 20
     seed: int = 0
-    strategies: tuple[str, ...] = STRATEGIES
+    strategies: tuple[str, ...] = SWEEP_STRATEGIES
     noise: NoiseParams | None = None
     average_over_roots: bool = False
-    audit: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -85,66 +94,80 @@ def graph_instance(cfg: ExperimentConfig, n: int, trial: int) -> Graph:
     return generate_cycle(n)
 
 
-def _schedule_for(g: Graph, strategy: str, root: int, B: int | None) -> StepSchedule:
+def tree_for(g: Graph, strategy: str, root: int, B: int | None) -> RootedSpanningTree:
+    """The spanning tree a tree strategy grows from root (B: greedy only)."""
+    if strategy == "dfs":
+        return build_dfs_tree(g, root)
+    if strategy == "bfs":
+        return build_bfs_tree(g, root)
+    if strategy == "greedy":
+        assert B is not None
+        return build_greedy_tree(g, root, HeuristicConfig(B=B))
+    raise ValueError(f"unknown tree strategy {strategy!r}")
+
+
+def schedule_for(g: Graph, strategy: str, root: int, B: int | None) -> StepSchedule:
+    """Edge-coloured steps: plain for "traditional", tree-ordered otherwise."""
     if strategy == "traditional":
         return schedule_traditional(g)
-    if strategy == "dfs":
-        return schedule_tree_ordered(g, build_dfs_tree(g, root))
-    assert B is not None
-    return schedule_tree_ordered(g, build_greedy_tree(g, root, HeuristicConfig(B=B)))
+    return schedule_tree_ordered(g, tree_for(g, strategy, root, B))
 
 
-def _circuit_for(g: Graph, sched: StepSchedule, params: AnsatzParams):
+def circuit_for(g: Graph, sched: StepSchedule, params: AnsatzParams):
+    """The full ansatz for a traditional schedule, the CNOT-reduced one for
+    a tree-ordered schedule."""
     if sched.tree is None:
         return build_traditional(g, params, sched)
     return build_optimized(g, params, sched.tree, sched)
 
 
-def _audit(g: Graph, sched: StepSchedule, cfg: ExperimentConfig) -> None:
-    if cfg.audit:
-        violations = verify_schedule(g, sched)
-        if violations:
-            raise AssertionError(f"schedule audit failed: {violations[0]}")
+def _cells(cfg: ExperimentConfig):
+    """Yield ((n, strategy, B), instances) per sweep row, in row order.
+
+    ``instances`` lazily yields (trial, g, sched) for every graph instance
+    and root, so only one schedule is alive at a time. The same instances
+    serve every strategy and B; "traditional" is root-independent and runs
+    root 0 only.
+    """
+    def instances(graphs: list[Graph], strategy: str, B: int | None):
+        for trial, g in enumerate(graphs):
+            all_roots = cfg.average_over_roots and strategy != "traditional"
+            for root in range(g.n) if all_roots else (0,):
+                yield trial, g, schedule_for(g, strategy, root, B)
+
+    for n in cfg.n_values:
+        graphs = [graph_instance(cfg, n, t) for t in range(cfg.trials)]
+        for strategy in cfg.strategies:
+            for B in cfg.B_values if strategy == "greedy" else (None,):
+                yield (n, strategy, B), instances(graphs, strategy, B)
+
+
+def _row(cfg: ExperimentConfig, n: int, strategy: str, B: int | None, **metrics) -> dict:
+    return {"family": cfg.family, "p_edge": cfg.p_edge, "n": n, "B": B,
+            "strategy": strategy, **metrics}
 
 
 def run_depth_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Steps / gate-depth / CNOT metrics per (n, strategy[, B]) cell."""
     rows: list[dict] = []
-    for n in cfg.n_values:
-        graphs = [graph_instance(cfg, n, t) for t in range(cfg.trials)]
-        for strategy in cfg.strategies:
-            b_values: tuple[int | None, ...]
-            b_values = tuple(cfg.B_values) if strategy == "greedy" else (None,)
-            for B in b_values:
-                steps, tree_steps, depths, cnots = [], [], [], []
-                for g in graphs:
-                    roots = range(g.n) if cfg.average_over_roots else (0,)
-                    for root in roots:
-                        sched = _schedule_for(g, strategy, root, B)
-                        _audit(g, sched, cfg)
-                        circ = _circuit_for(g, sched, _DEPTH_PARAMS)
-                        steps.append(sched.num_steps)
-                        if sched.tree is not None:
-                            tree_steps.append(sched.tree_steps())
-                        depths.append(circ.depth())
-                        cnots.append(circ.cnot_count())
-                        if strategy == "traditional":
-                            break  # root-independent
-                rows.append({
-                    "family": cfg.family,
-                    "p_edge": cfg.p_edge,
-                    "n": n,
-                    "B": B,
-                    "strategy": strategy,
-                    "mean_steps": float(np.mean(steps)),
-                    "mean_tree_steps":
-                        float(np.mean(tree_steps)) if tree_steps else None,
-                    "mean_gate_depth": float(np.mean(depths)),
-                    "mean_cnots": float(np.mean(cnots)),
-                    "stderr_steps":
-                        float(np.std(steps, ddof=1) / np.sqrt(len(steps)))
-                        if len(steps) > 1 else 0.0,
-                })
+    for (n, strategy, B), instances in _cells(cfg):
+        steps, tree_steps, depths, cnots = [], [], [], []
+        for _, g, sched in instances:
+            circ = circuit_for(g, sched, _DEPTH_PARAMS)
+            steps.append(sched.num_steps)
+            if sched.tree is not None:
+                tree_steps.append(sched.tree_steps())
+            depths.append(circ.depth())
+            cnots.append(circ.cnot_count())
+        rows.append(_row(
+            cfg, n, strategy, B,
+            mean_steps=float(np.mean(steps)),
+            mean_tree_steps=float(np.mean(tree_steps)) if tree_steps else None,
+            mean_gate_depth=float(np.mean(depths)),
+            mean_cnots=float(np.mean(cnots)),
+            stderr_steps=float(np.std(steps, ddof=1) / np.sqrt(len(steps)))
+            if len(steps) > 1 else 0.0,
+        ))
     return rows
 
 
@@ -153,41 +176,17 @@ def run_success_experiment(cfg: ExperimentConfig) -> list[dict]:
     random (gamma, beta) pair are shared across strategies."""
     if cfg.noise is None:
         raise ValueError("success experiment needs noise parameters")
-    acc: dict[tuple, list[float]] = {}
-    key_order: list[tuple] = []
-    for n in cfg.n_values:
-        for trial in range(cfg.trials):
-            g = graph_instance(cfg, n, trial)
+    rows: list[dict] = []
+    for (n, strategy, B), instances in _cells(cfg):
+        losses = []
+        for trial, g, sched in instances:
             rng = np.random.default_rng(derive_seed(cfg.seed + 1, n, trial))
             gamma, beta = rng.uniform(0.0, 2.0 * np.pi, size=2)
             params = AnsatzParams(p=1, gammas=(float(gamma),), betas=(float(beta),))
-            roots = range(g.n) if cfg.average_over_roots else (0,)
-            for strategy in cfg.strategies:
-                b_values: tuple[int | None, ...]
-                b_values = tuple(cfg.B_values) if strategy == "greedy" else (None,)
-                for B in b_values:
-                    key = (n, strategy, B)
-                    if key not in acc:
-                        acc[key] = []
-                        key_order.append(key)
-                    for root in roots:
-                        sched = _schedule_for(g, strategy, root, B)
-                        _audit(g, sched, cfg)
-                        circ = _circuit_for(g, sched, params)
-                        result = run_noisy(circ, sched, cfg.noise)
-                        acc[key].append(1.0 - result.p_success)
-                        if strategy == "traditional":
-                            break
-    rows = []
-    for n, strategy, B in key_order:
-        rows.append({
-            "family": cfg.family,
-            "p_edge": cfg.p_edge,
-            "n": n,
-            "B": B,
-            "strategy": strategy,
-            "mean_one_minus_psuccess": float(np.mean(acc[(n, strategy, B)])),
-        })
+            result = run_noisy(circuit_for(g, sched, params), sched, cfg.noise)
+            losses.append(1.0 - result.p_success)
+        rows.append(_row(cfg, n, strategy, B,
+                         mean_one_minus_psuccess=float(np.mean(losses))))
     return rows
 
 

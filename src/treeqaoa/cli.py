@@ -15,14 +15,11 @@ import sys
 import numpy as np
 
 from .bench import (
-    DEPTH_COLUMNS,
-    SUCCESS_COLUMNS,
-    ExperimentConfig,
-    run_depth_experiment,
-    run_success_experiment,
-    rows_to_csv,
+    DEPTH_COLUMNS, STRATEGIES, SUCCESS_COLUMNS, SWEEP_STRATEGIES, TREE_STRATEGIES,
+    ExperimentConfig, circuit_for, rows_to_csv, run_depth_experiment,
+    run_success_experiment, schedule_for, tree_for,
 )
-from .circuits import AnsatzParams, build_optimized, build_traditional
+from .circuits import AnsatzParams
 from .graphs import (
     Graph,
     GraphError,
@@ -33,25 +30,16 @@ from .graphs import (
     write_edge_list,
 )
 from .oracle import OracleBudgetError, heuristic_gap, solve_exact
-from .scheduling import (
-    schedule_to_text,
-    schedule_traditional,
-    schedule_tree_ordered,
-)
+from .scheduling import schedule_to_text
 from .simulate import NoiseParams, run_noisy
-from .trees import (
-    HeuristicConfig,
-    build_bfs_tree,
-    build_dfs_tree,
-    build_greedy_tree,
-    tree_to_text,
-)
+from .trees import HeuristicConfig, tree_to_text
 
-_TREE_METHODS = {
-    "dfs": lambda g, root, B: build_dfs_tree(g, root),
-    "bfs": lambda g, root, B: build_bfs_tree(g, root),
-    "greedy": lambda g, root, B: build_greedy_tree(g, root, HeuristicConfig(B=B)),
-}
+# Unused here since strategy dispatch lives in bench.py, but
+# perfbench/spans.py traces the package by patching the names each module
+# looks up; removing one makes Tracer.install fail.
+from .circuits import build_optimized, build_traditional  # noqa: F401
+from .scheduling import schedule_traditional, schedule_tree_ordered  # noqa: F401
+from .trees import build_bfs_tree, build_dfs_tree, build_greedy_tree  # noqa: F401
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -94,13 +82,6 @@ def _ansatz_params(args) -> AnsatzParams:
     )
 
 
-def _strategy_schedule(g: Graph, strategy: str, root: int, B: int):
-    if strategy == "traditional":
-        return schedule_traditional(g)
-    tree = _TREE_METHODS[strategy](g, root, B)
-    return schedule_tree_ordered(g, tree)
-
-
 def _cmd_gen(args) -> None:
     if args.family == "erdos-renyi":
         g = generate_erdos_renyi(args.n, args.p_edge, args.seed)
@@ -113,37 +94,30 @@ def _cmd_gen(args) -> None:
 
 def _cmd_tree(args) -> None:
     g = _load_graph(args.graph)
-    tree = _TREE_METHODS[args.strategy](g, args.root, args.B)
-    _emit(tree_to_text(tree), args.out)
+    _emit(tree_to_text(tree_for(g, args.strategy, args.root, args.B)), args.out)
 
 
 def _cmd_schedule(args) -> None:
     g = _load_graph(args.graph)
-    sched = _strategy_schedule(g, args.strategy, args.root, args.B)
+    sched = schedule_for(g, args.strategy, args.root, args.B)
     _emit(schedule_to_text(g, sched), args.out)
 
 
-def _cmd_circuit(args) -> None:
+def _synthesize(args):
     g = _load_graph(args.graph)
     params = _ansatz_params(args)
-    sched = _strategy_schedule(g, args.strategy, args.root, args.B)
-    if sched.tree is None:
-        circ = build_traditional(g, params, sched)
-    else:
-        circ = build_optimized(g, params, sched.tree, sched)
+    sched = schedule_for(g, args.strategy, args.root, args.B)
+    return g, sched, circuit_for(g, sched, params)
+
+
+def _cmd_circuit(args) -> None:
+    _, _, circ = _synthesize(args)
     _emit(circ.to_text(), args.out)
 
 
 def _cmd_simulate(args) -> None:
-    g = _load_graph(args.graph)
-    params = _ansatz_params(args)
-    sched = _strategy_schedule(g, args.strategy, args.root, args.B)
-    if sched.tree is None:
-        circ = build_traditional(g, params, sched)
-    else:
-        circ = build_optimized(g, params, sched.tree, sched)
-    noise = _parse_noise(args.noise)
-    result = run_noisy(circ, sched, noise)
+    g, sched, circ = _synthesize(args)
+    result = run_noisy(circ, sched, _parse_noise(args.noise))
     lines = [
         "strategy,n,m,num_steps,cnot_count,gate_depth,p_success",
         ",".join([
@@ -213,6 +187,20 @@ def _add_angle_args(p: argparse.ArgumentParser) -> None:
                    help="seed for random angles when --gamma/--beta absent")
 
 
+def _add_sweep_args(p: argparse.ArgumentParser, trials: int) -> None:
+    p.add_argument("--family", choices=("erdos-renyi", "complete", "cycle"),
+                   required=True)
+    p.add_argument("--p-edge", type=float, default=None)
+    p.add_argument("--n", required=True, help="comma-separated vertex counts")
+    p.add_argument("--B", default="3", help="comma-separated B values")
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--strategy", default=",".join(SWEEP_STRATEGIES),
+                   help=f"comma-separated subset of {','.join(STRATEGIES)}")
+    p.add_argument("--average-over-roots", action="store_true")
+    p.add_argument("--out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeqaoa",
@@ -231,28 +219,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="build a rooted spanning tree")
     _add_graph_arg(p)
-    p.add_argument("--strategy", choices=("dfs", "bfs", "greedy"), default="greedy")
-    p.add_argument("--root", type=int, default=0)
-    p.add_argument("--B", type=int, default=3)
+    _add_strategy_args(p, TREE_STRATEGIES)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("schedule", help="assign edge blocks to steps")
     _add_graph_arg(p)
-    _add_strategy_args(p, ("traditional", "dfs", "bfs", "greedy"))
+    _add_strategy_args(p, STRATEGIES)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("circuit", help="emit the gate-level ansatz circuit")
     _add_graph_arg(p)
-    _add_strategy_args(p, ("traditional", "dfs", "bfs", "greedy"))
+    _add_strategy_args(p, STRATEGIES)
     _add_angle_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_circuit)
 
     p = sub.add_parser("simulate", help="noisy density-matrix run")
     _add_graph_arg(p)
-    _add_strategy_args(p, ("traditional", "dfs", "bfs", "greedy"))
+    _add_strategy_args(p, STRATEGIES)
     _add_angle_args(p)
     p.add_argument("--noise", default="0.01,0.001,0.002",
                    help="p_cx,p_1q,p_idle")
@@ -260,32 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench-depth", help="steps/depth sweep to CSV")
-    p.add_argument("--family", choices=("erdos-renyi", "complete", "cycle"),
-                   required=True)
-    p.add_argument("--p-edge", type=float, default=None)
-    p.add_argument("--n", required=True, help="comma-separated vertex counts")
-    p.add_argument("--B", default="3", help="comma-separated B values")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", default="traditional,dfs,greedy",
-                   help="comma-separated subset of traditional,dfs,greedy")
-    p.add_argument("--average-over-roots", action="store_true")
-    p.add_argument("--out")
+    _add_sweep_args(p, trials=20)
     p.set_defaults(func=_cmd_bench_depth)
 
     p = sub.add_parser("bench-success", help="success-probability sweep to CSV")
-    p.add_argument("--family", choices=("erdos-renyi", "complete", "cycle"),
-                   required=True)
-    p.add_argument("--p-edge", type=float, default=None)
-    p.add_argument("--n", required=True, help="comma-separated vertex counts")
-    p.add_argument("--B", default="3", help="comma-separated B values")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", default="traditional,dfs,greedy")
+    _add_sweep_args(p, trials=10)
     p.add_argument("--noise", default="0.01,0.001,0.002",
                    help="p_cx,p_1q,p_idle")
-    p.add_argument("--average-over-roots", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_bench_success)
 
     p = sub.add_parser("oracle", help="exact minimum steps on a tiny graph")

@@ -126,41 +126,6 @@ def expected_cut(sv: StateVector, g: Graph) -> float:
     return float(probs @ cut_sizes)
 
 
-def apply_unitary_dm(rho: np.ndarray, n: int, U: np.ndarray,
-                     qubits: tuple[int, ...]) -> np.ndarray:
-    """rho -> U rho U^dagger on the given qubits; rho is (2^n, 2^n)."""
-    k = len(qubits)
-    rows = [n - 1 - q for q in qubits]
-    cols = [2 * n - 1 - q for q in qubits]
-    t = rho.reshape((2,) * (2 * n))
-    Ut = U.reshape((2,) * (2 * k))
-    t = np.tensordot(Ut, t, axes=(list(range(k, 2 * k)), rows))
-    t = np.moveaxis(t, list(range(k)), rows)
-    t = np.tensordot(Ut.conj(), t, axes=(list(range(k, 2 * k)), cols))
-    t = np.moveaxis(t, list(range(k)), cols)
-    return t.reshape(2 ** n, 2 ** n)
-
-
-def apply_depolarizing(rho: np.ndarray, n: int, qubits: tuple[int, ...],
-                       p: float) -> np.ndarray:
-    """Replace the marked qubits with the maximally mixed state w.p. p."""
-    if p == 0.0:
-        return rho
-    k = len(qubits)
-    rows = [n - 1 - q for q in qubits]
-    cols = [2 * n - 1 - q for q in qubits]
-    t = rho.reshape((2,) * (2 * n))
-    dst = list(range(k)) + list(range(n, n + k))
-    t = np.moveaxis(t, rows + cols, dst)
-    block = t.reshape(2 ** k, 2 ** (n - k), 2 ** k, 2 ** (n - k))
-    traced = np.einsum("iaib->ab", block)
-    eye = np.eye(2 ** k) / (2 ** k)
-    mixed = eye[:, None, :, None] * traced[None, :, None, :]
-    out = (1.0 - p) * block + p * mixed
-    out = np.moveaxis(out.reshape((2,) * (2 * n)), dst, rows + cols)
-    return out.reshape(2 ** n, 2 ** n)
-
-
 # ---------------------------------------------------------------------------
 # in-place density-matrix kernels
 #

@@ -15,7 +15,7 @@ branching toward vertices near the root.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,18 +55,15 @@ class RootedSpanningTree:
 class HeuristicConfig:
     """Parameters of the greedy builder.
 
-    B is the branching parameter of the cost function; tie_break names the
-    equal-cost rule (only "first_inserted" is defined).
+    B is the branching parameter of the cost function; equal costs go to
+    the first-inserted frontier edge.
     """
 
     B: int = 3
-    tie_break: str = field(default="first_inserted")
 
     def __post_init__(self) -> None:
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
-        if self.tie_break != "first_inserted":
-            raise ValueError(f"unknown tie_break rule {self.tie_break!r}")
 
 
 def cost_of(n: int, l_v: int, v_bf: int, B: int) -> int:

@@ -3,6 +3,7 @@ import pytest
 
 from treeqaoa.bench import (
     DEPTH_COLUMNS,
+    STRATEGIES,
     SUCCESS_COLUMNS,
     ExperimentConfig,
     derive_seed,
@@ -11,8 +12,10 @@ from treeqaoa.bench import (
     rows_to_csv,
     run_depth_experiment,
     run_success_experiment,
+    tree_for,
 )
 from treeqaoa.circuits import AnsatzParams, build_traditional
+from treeqaoa.graphs import generate_cycle
 from treeqaoa.scheduling import schedule_traditional
 from treeqaoa.simulate import NoiseParams, run_noisy
 
@@ -89,9 +92,20 @@ def test_instances_shared_across_b_values():
         assert cell[0]["mean_cnots"] == cell[1]["mean_cnots"]
 
 
-def test_depth_rows_deterministic_and_audited():
+def test_sweeps_accept_every_strategy():
+    cfg = ExperimentConfig(family="cycle", n_values=(5,), trials=1,
+                           strategies=STRATEGIES, B_values=(3,))
+    rows = run_depth_experiment(cfg)
+    assert [r["strategy"] for r in rows] == list(STRATEGIES)
+    # C5: 2m = 10 CNOTs traditionally, n - 1 = 4 fewer over any tree
+    assert [r["mean_cnots"] for r in rows] == [10.0, 6.0, 6.0, 6.0]
+    with pytest.raises(ValueError, match="tree strategy"):
+        tree_for(generate_cycle(5), "traditional", 0, 3)
+
+
+def test_depth_rows_deterministic():
     cfg = dict(family="erdos_renyi", p_edge=0.4, n_values=(6, 8), trials=3,
-               seed=11, B_values=(3,), audit=True)
+               seed=11, B_values=(3,))
     a = run_depth_experiment(ExperimentConfig(**cfg))
     b = run_depth_experiment(ExperimentConfig(**cfg))
     assert a == b

@@ -86,8 +86,6 @@ def test_cost_function_values():
 def test_heuristic_config_validation():
     with pytest.raises(ValueError):
         HeuristicConfig(B=0)
-    with pytest.raises(ValueError):
-        HeuristicConfig(B=3, tie_break="random")
 
 
 def _greedy_reference(g, root, B):
