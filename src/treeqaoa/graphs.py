@@ -53,6 +53,10 @@ class Graph:
             if e in seen:
                 raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
+        if len(seen) < n - 1:
+            # checked before any per-vertex allocation, so a hostile header
+            # like n = 10^9 with one edge fails fast
+            raise GraphError("graph is not connected")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
         adj: list[list[int]] = [[] for _ in range(n)]

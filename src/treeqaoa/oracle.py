@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .graphs import Edge, Graph, canonical_edge, edges_connected
 from .scheduling import TREE_ORDERED, StepSchedule, schedule_tree_ordered
-from .trees import HeuristicConfig, RootedSpanningTree, build_greedy_tree
+from .trees import HeuristicConfig, RootedSpanningTree, _finish, build_greedy_tree
 
 MAX_ORACLE_VERTICES = 8
 DEFAULT_TREE_BUDGET = 10 ** 6
@@ -101,11 +101,7 @@ def _root_tree(g: Graph, tree_edge_idx: tuple[int, ...], root: int) -> RootedSpa
                 level[v] = level[u] + 1
                 order.append((u, v))
                 queue.append(v)
-    branch = [0] * g.n
-    for p, _c in order:
-        branch[p] += 1
-    return RootedSpanningTree(root, tuple(parent), tuple(level),
-                              tuple(branch), tuple(order))
+    return _finish(g, root, parent, level, order)
 
 
 def _min_coloring(order: list[tuple[int, int]], parent_edge: list[int],

@@ -13,7 +13,7 @@ affected qubits by the maximally mixed state:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .scheduling import StepSchedule
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _H = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
-_CX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 MAX_STATEVECTOR_QUBITS = 20
 MAX_DENSITY_QUBITS = 10
@@ -64,35 +61,21 @@ class NoiseParams:
 
 @dataclass
 class SimResult:
-    """Noisy-run outcome: p_success = <psi_ideal| rho |psi_ideal>."""
+    """Noisy-run outcome: p_success = <psi_ideal| rho |psi_ideal>, and the
+    trace of the final state (1 up to float drift)."""
 
     p_success: float
     ideal_state: StateVector
-    metadata: dict = field(default_factory=dict)
+    trace: float
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:
     if gate.name == "H":
         return _H
-    if gate.name == "RZ":
-        half = 0.5 * gate.angle
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
     if gate.name == "RX":
         c, s = np.cos(0.5 * gate.angle), np.sin(0.5 * gate.angle)
         return np.array([[c, -1j * s], [-1j * s, c]])
-    if gate.name == "CX":
-        return _CX
     raise ValueError(f"unknown gate {gate.name!r}")
-
-
-def _apply_unitary_sv(psi: np.ndarray, n: int, U: np.ndarray,
-                      qubits: tuple[int, ...]) -> np.ndarray:
-    """psi is a (2,)*n tensor; axis i holds qubit n-1-i."""
-    k = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    out = np.tensordot(U.reshape((2,) * (2 * k)), psi,
-                       axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
 
 
 def run_ideal(c: CircuitIR) -> StateVector:
@@ -103,7 +86,7 @@ def run_ideal(c: CircuitIR) -> StateVector:
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     for gate in c.gates:
-        psi = _apply_unitary_sv(psi, n, _gate_matrix(gate), gate.qubits)
+        _gate_inplace(psi, n, gate, False)
     return StateVector(n, psi.reshape(-1))
 
 
@@ -127,48 +110,49 @@ def expected_cut(sv: StateVector, g: Graph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# in-place density-matrix kernels
+# in-place kernels
 #
-# The density matrix lives as a (2,)*(2n) view of a contiguous (2^n, 2^n)
-# array: axis n-1-q indexes qubit q on the row side, axis 2n-1-q on the
-# column side. All kernels below mutate slices of that view directly, so no
-# axis permutation or tensor copy of the full matrix ever happens.
+# A statevector lives as a (2,)*n tensor with axis n-1-q for qubit q; a
+# density matrix as a (2,)*(2n) view of a contiguous (2^n, 2^n) array, with
+# axis n-1-q for qubit q on the row side and 2n-1-q on the column side. One
+# gate kernel serves both: it maps qubit q to axis top-1-q, so a statevector
+# takes U at top=n and a density matrix takes U at top=n and U* at top=2n.
+# Every kernel mutates slices of the tensor directly, so no axis
+# permutation or copy of the full state ever happens.
 
 
-def _slot(t: np.ndarray, n: int, assignments: list[tuple[int, int]]):
-    idx: list = [slice(None)] * (2 * n)
+def _slot(t: np.ndarray, assignments: list[tuple[int, int]]):
+    idx: list = [slice(None)] * t.ndim
     for axis, bit in assignments:
         idx[axis] = bit
     # trailing ellipsis keeps fully-indexed results as 0-d views
     return t[tuple(idx) + (Ellipsis,)]
 
 
-def _dm_1q_inplace(t: np.ndarray, n: int, q: int, U: np.ndarray) -> None:
-    for axis, M in ((n - 1 - q, U), (2 * n - 1 - q, U.conj())):
-        v0 = _slot(t, n, [(axis, 0)])
-        v1 = _slot(t, n, [(axis, 1)])
-        new0 = M[0, 0] * v0 + M[0, 1] * v1
-        v1 *= M[1, 1]
-        v1 += M[1, 0] * v0
-        v0[...] = new0
-
-
-def _dm_rz_inplace(t: np.ndarray, n: int, q: int, angle: float) -> None:
-    f = np.exp(-0.5j * angle)
-    for axis, lo, hi in ((n - 1 - q, f, f.conjugate()),
-                         (2 * n - 1 - q, f.conjugate(), f)):
-        _slot(t, n, [(axis, 0)])[...] *= lo
-        _slot(t, n, [(axis, 1)])[...] *= hi
-
-
-def _dm_cx_inplace(t: np.ndarray, n: int, ctrl: int, tgt: int) -> None:
-    for ca, ta in ((n - 1 - ctrl, n - 1 - tgt),
-                   (2 * n - 1 - ctrl, 2 * n - 1 - tgt)):
-        a = _slot(t, n, [(ca, 1), (ta, 0)])
-        b = _slot(t, n, [(ca, 1), (ta, 1)])
+def _gate_inplace(t: np.ndarray, top: int, gate: Gate, conj: bool) -> None:
+    """Apply gate (its complex conjugate if conj) on axes top-1-q."""
+    if gate.name == "CX":
+        ca, ta = (top - 1 - q for q in gate.qubits)
+        a = _slot(t, [(ca, 1), (ta, 0)])
+        b = _slot(t, [(ca, 1), (ta, 1)])
         tmp = a.copy()
         a[...] = b
         b[...] = tmp
+        return
+    axis = top - 1 - gate.qubits[0]
+    v0 = _slot(t, [(axis, 0)])
+    v1 = _slot(t, [(axis, 1)])
+    if gate.name == "RZ":
+        f = np.exp(-0.5j * gate.angle)
+        lo, hi = (f.conjugate(), f) if conj else (f, f.conjugate())
+        v0 *= lo
+        v1 *= hi
+        return
+    M = _gate_matrix(gate).conj() if conj else _gate_matrix(gate)
+    new0 = M[0, 0] * v0 + M[0, 1] * v1
+    v1 *= M[1, 1]
+    v1 += M[1, 0] * v0
+    v0[...] = new0
 
 
 def _dm_depolarize_inplace(t: np.ndarray, n: int, qubits: tuple[int, ...],
@@ -185,59 +169,50 @@ def _dm_depolarize_inplace(t: np.ndarray, n: int, qubits: tuple[int, ...],
     ]
     total = None
     for pat in patterns:
-        block = _slot(t, n, pat)
+        block = _slot(t, pat)
         total = block.copy() if total is None else total + block
     t *= 1.0 - p
     total *= p / (2 ** k)
     for pat in patterns:
-        _slot(t, n, pat)[...] += total
+        _slot(t, pat)[...] += total
 
 
 class _NoisyState:
-    """Density matrix that stays a pure statevector until the first
-    nonzero channel fires. With all-zero noise the evolution therefore
-    follows the exact same numeric path as run_ideal."""
+    """State tensor that stays a pure (2,)*n statevector until the first
+    nonzero channel fires, then becomes a (2,)*(2n) density matrix. With
+    all-zero noise the evolution therefore runs the exact same kernel
+    calls as run_ideal."""
 
     def __init__(self, n: int):
         self.n = n
-        self.pure: np.ndarray | None = np.zeros((2,) * n, dtype=complex)
-        self.pure[(0,) * n] = 1.0
-        self.rho: np.ndarray | None = None
-        self.t: np.ndarray | None = None
+        self.t = np.zeros((2,) * n, dtype=complex)
+        self.t[(0,) * n] = 1.0
 
     def apply_gate(self, gate: Gate) -> None:
-        if self.pure is not None:
-            self.pure = _apply_unitary_sv(
-                self.pure, self.n, _gate_matrix(gate), gate.qubits
-            )
-        elif gate.name == "CX":
-            _dm_cx_inplace(self.t, self.n, *gate.qubits)
-        elif gate.name == "RZ":
-            _dm_rz_inplace(self.t, self.n, gate.qubits[0], gate.angle)
-        else:
-            _dm_1q_inplace(self.t, self.n, gate.qubits[0], _gate_matrix(gate))
+        _gate_inplace(self.t, self.n, gate, False)
+        if self.t.ndim > self.n:
+            _gate_inplace(self.t, 2 * self.n, gate, True)
 
     def depolarize(self, qubits: tuple[int, ...], p: float) -> None:
         if p == 0.0:
             return
-        if self.pure is not None:
-            psi = self.pure.reshape(-1)
-            self.rho = np.outer(psi, psi.conj())
-            self.t = self.rho.reshape((2,) * (2 * self.n))
-            self.pure = None
+        if self.t.ndim == self.n:
+            psi = self.t.reshape(-1)
+            self.t = np.outer(psi, psi.conj()).reshape((2,) * (2 * self.n))
         _dm_depolarize_inplace(self.t, self.n, qubits, p)
 
     def overlap(self, psi: np.ndarray) -> tuple[float, float]:
         """(normalized <psi|state|psi>, trace). Normalizing by the norms
         cancels float drift, so a noiseless run scores exactly 1."""
         ref = float(np.real(np.vdot(psi, psi)))
-        if self.pure is not None:
-            mine = self.pure.reshape(-1)
+        if self.t.ndim == self.n:
+            mine = self.t.reshape(-1)
             amp2 = float(abs(np.vdot(psi, mine)) ** 2)
             tr = float(np.real(np.vdot(mine, mine)))
             return amp2 / (ref * tr), tr
-        tr = float(np.real(np.trace(self.rho)))
-        raw = float(np.real(psi.conj() @ self.rho @ psi))
+        rho = self.t.reshape(psi.size, psi.size)
+        tr = float(np.real(np.trace(rho)))
+        raw = float(np.real(psi.conj() @ rho @ psi))
         return raw / (ref * tr), tr
 
 
@@ -288,15 +263,4 @@ def run_noisy(c: CircuitIR, sched: StepSchedule, noise: NoiseParams) -> SimResul
     idle_flush(current)
 
     p_success, trace = state.overlap(ideal.amplitudes)
-    return SimResult(
-        p_success=p_success,
-        ideal_state=ideal,
-        metadata={
-            "n_qubits": n,
-            "gate_count": len(c.gates),
-            "cnot_count": c.cnot_count(),
-            "num_steps": sched.num_steps,
-            "noise": noise,
-            "trace": trace,
-        },
-    )
+    return SimResult(p_success=p_success, ideal_state=ideal, trace=trace)

@@ -2,22 +2,21 @@
 
 All builders explore neighbors in ascending vertex order, so results are
 deterministic for a fixed graph and root. The greedy builder grows the tree
-one frontier edge at a time, always taking the edge (u, v) with visited u
-that maximizes ``(n - level(u)) * (B - branch_counter(u))``; ties keep the
-earliest-inserted frontier edge. The branch counter of the root starts at 1,
-so its reported statistic equals its tree degree; every vertex's counter
-then increments as it gains children. Trees from this builder trade off
-height against sibling fan-out: B caps useful branching (set B = f + 1 to
-target a maximum of f children per vertex), and the level factor steers
-branching toward vertices near the root.
+one vertex at a time: the visited vertex u with an unvisited neighbor that
+maximizes ``(n - level(u)) * (B - branch_counter(u))`` gains its smallest
+unvisited neighbor as a child; ties, and the case where no cost is
+positive, go to the earliest-visited such u. The branch counter of the
+root starts at 1, so its reported statistic equals its tree degree; every
+vertex's counter then increments as it gains children. Trees from this
+builder trade off height against sibling fan-out: B caps useful branching
+(set B = f + 1 to target a maximum of f children per vertex), and the
+level factor steers branching toward vertices near the root.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import Edge, Graph, canonical_edge
 
@@ -56,7 +55,7 @@ class HeuristicConfig:
     """Parameters of the greedy builder.
 
     B is the branching parameter of the cost function; equal costs go to
-    the first-inserted frontier edge.
+    the earliest-visited vertex.
     """
 
     B: int = 3
@@ -142,61 +141,49 @@ def build_bfs_tree(g: Graph, root: int) -> RootedSpanningTree:
 def build_greedy_tree(g: Graph, root: int, cfg: HeuristicConfig) -> RootedSpanningTree:
     """Cost-driven greedy spanning tree.
 
-    Frontier edges (u visited, v not) live in insertion order in flat
-    arrays; removal is lazy via the visited mask, and each iteration scans
-    the whole frontier, exactly like a linear pass with a strict
-    cost-improvement comparison seeded by the frontier head. Runs in
-    O(max_degree * n^2) overall.
+    The frontier holds the visited vertices that still have an unvisited
+    neighbor, in visit order; nxt[u] points at the first neighbor of u not
+    yet known to be visited. Each step scans the frontier, takes the first
+    vertex of strictly maximum positive cost (the frontier head if no cost
+    is positive), and gives it its smallest unvisited neighbor as a child.
+    That is the earliest-inserted frontier edge of maximum cost, since each
+    vertex's edges join the frontier as one ascending run. Runs in
+    O(n^2 + m) overall.
     """
     _check_root(g, root)
-    n = g.n
-    B = cfg.B
-    adj = [np.asarray(a, dtype=np.int64) for a in g.adjacency]
-
-    level = np.zeros(n, dtype=np.int64)
-    bf = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[root] = True
-    bf[root] = 1  # root's counter starts at its "discovered" state
-
-    # Total frontier insertions are bounded by the degree sum.
-    cap = 2 * g.m
-    src = np.empty(cap, dtype=np.int64)
-    dst = np.empty(cap, dtype=np.int64)
-    count = 0
-
-    def push_edges(u: int) -> None:
-        nonlocal count
-        nbrs = adj[u]
-        fresh = nbrs[~visited[nbrs]]
-        k = len(fresh)
-        src[count:count + k] = u
-        dst[count:count + k] = fresh
-        count += k
-
-    push_edges(root)
-
+    n, B, adj = g.n, cfg.B, g.adjacency
     parent: list[int | None] = [None] * n
+    level = [0] * n
+    bf = [0] * n
+    bf[root] = 1  # root's counter starts at its "discovered" state
+    visited = [False] * n
+    visited[root] = True
+    nxt = [0] * n
+    frontier = [root]
     order: list[tuple[int, int]] = []
     for _ in range(n - 1):
-        u = src[:count]
-        v = dst[:count]
-        alive = ~visited[v]
-        cost = (n - level[u]) * (B - bf[u])
-        cost[~alive] = np.iinfo(np.int64).min
-        pick = int(np.argmax(cost))
-        if cost[pick] <= 0:
-            # no strictly positive cost: keep the frontier head
-            pick = int(np.argmax(alive))
-        x, y = int(u[pick]), int(v[pick])
+        live: list[int] = []
+        best, best_cost = -1, 0
+        for u in frontier:
+            nbrs, i = adj[u], nxt[u]
+            while i < len(nbrs) and visited[nbrs[i]]:
+                i += 1
+            nxt[u] = i
+            if i < len(nbrs):
+                live.append(u)
+                cost = (n - level[u]) * (B - bf[u])
+                if cost > best_cost:
+                    best, best_cost = u, cost
+        x = best if best >= 0 else live[0]
+        y = adj[x][nxt[x]]
         visited[y] = True
+        parent[y] = x
         level[y] = level[x] + 1
         bf[x] += 1
-        parent[y] = x
         order.append((x, y))
-        push_edges(y)
-
-    return _finish(g, root, parent, [int(l) for l in level], order)
+        live.append(y)
+        frontier = live
+    return _finish(g, root, parent, level, order)
 
 
 def tree_to_text(t: RootedSpanningTree) -> str:

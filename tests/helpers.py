@@ -5,9 +5,15 @@ evolve through explicit kron-built full matrices, and channels through
 explicit partial traces, so agreement with the engine is meaningful.
 """
 
+import contextlib
+
 import numpy as np
 
 from treeqaoa.trees import RootedSpanningTree
+
+# a header that declares 10^9 vertices but one edge; only safe to parse
+# because the graph constructor rejects it before any per-vertex allocation
+HOSTILE_HEADER = "1000000000 1\n0 1\n"
 
 _I2 = np.eye(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -85,3 +91,27 @@ def tree_from_edges(n, root, parent_child_edges):
         branch_count=tuple(branch),
         discovery_order=tuple(parent_child_edges),
     )
+
+
+@contextlib.contextmanager
+def address_space_cap(extra_bytes):
+    """Cap this process's address space at its current size plus
+    extra_bytes, so code that wrongly allocates per declared vertex raises
+    MemoryError instead of exhausting the machine. No-op where the
+    resource module or /proc/self/statm is unavailable."""
+    try:
+        import resource
+        with open("/proc/self/statm") as fh:
+            current = int(fh.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = current + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

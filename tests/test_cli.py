@@ -5,6 +5,8 @@ import pytest
 from treeqaoa.cli import main
 from treeqaoa.graphs import read_edge_list
 
+from helpers import HOSTILE_HEADER, address_space_cap
+
 
 def run_twice(argv_maker, tmp_path, name):
     """Run a command twice into fresh files; return both byte payloads."""
@@ -149,6 +151,15 @@ def test_validation_failures_exit_nonzero(tmp_path, capsys):
     assert main(["oracle", str(tmp_path / "missing.txt")]) == 1
     with pytest.raises(SystemExit):
         main(["gen"])  # missing required flags
+
+
+def test_huge_header_exits_nonzero(tmp_path, capsys):
+    hostile = tmp_path / "hostile.txt"
+    hostile.write_text(HOSTILE_HEADER)
+    with address_space_cap(256 << 20):
+        for command in ("tree", "schedule", "circuit", "simulate", "oracle"):
+            assert main([command, str(hostile)]) == 1
+            assert "not connected" in capsys.readouterr().err
 
 
 def test_stdout_fallback(graph_file, capsys):

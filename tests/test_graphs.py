@@ -13,6 +13,8 @@ from treeqaoa.graphs import (
     write_edge_list,
 )
 
+from helpers import HOSTILE_HEADER, address_space_cap
+
 
 def test_complete_counts():
     assert generate_complete(4).m == 6
@@ -150,3 +152,13 @@ def test_graph_constructor_validation():
         Graph(3, [(0, 3), (0, 1), (1, 2)])
     with pytest.raises(GraphError, match="not connected"):
         Graph(4, [(0, 1), (2, 3)])
+
+
+def test_huge_vertex_count_rejected_before_allocation():
+    # one edge cannot connect 10^9 vertices, and both entry points must
+    # say so before building a single per-vertex list
+    with address_space_cap(256 << 20):
+        with pytest.raises(GraphError, match="not connected"):
+            Graph(10 ** 9, [(0, 1)])
+        with pytest.raises(GraphError, match="not connected"):
+            read_edge_list(HOSTILE_HEADER)

@@ -32,11 +32,11 @@ def test_traditional_zero_angles_is_uniform():
 
 def test_run_ideal_matches_matrix_oracle():
     rng = np.random.default_rng(64)
-    for _ in range(30):
-        n = int(rng.integers(2, 5))
+    for _ in range(500):
+        n = int(rng.integers(1, 6))
         gates = []
         for _ in range(int(rng.integers(1, 25))):
-            kind = rng.integers(4)
+            kind = rng.integers(4 if n > 1 else 3)
             if kind == 3:
                 a, b = rng.choice(n, size=2, replace=False)
                 gates.append(Gate("CX", (int(a), int(b))))
@@ -115,53 +115,29 @@ def test_single_cnot_closed_form():
     assert result.p_success == pytest.approx(1 - p + p / 4, abs=1e-12)
 
 
-def depolarize_oracle(rho, n, qubits, p):
-    """Independent channel algebra via explicit partial trace + kron."""
-    if not qubits:
-        return rho
-    keep = [q for q in range(n) if q not in qubits]
-    t = rho.reshape((2,) * (2 * n))
-    # trace out the hit qubits one by one (axis n-1-q rows, 2n-1-q cols)
-    for q in sorted(qubits, reverse=True):
-        dims = t.ndim // 2
-        t = np.trace(t, axis1=dims - 1 - q, axis2=2 * dims - 1 - q)
-        n_local = dims - 1
-        # relabel: remaining qubits above q shift down one slot
-        t = t.reshape((2 ** n_local, 2 ** n_local)).reshape((2,) * (2 * n_local))
-    reduced = t.reshape(2 ** len(keep), 2 ** len(keep))
-    # rebuild: identity/2 on each hit qubit, reduced state on the rest
-    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i in range(2 ** n):
-        for j in range(2 ** n):
-            if any((i >> q) & 1 != (j >> q) & 1 for q in qubits):
-                continue
-            ik = sum(((i >> q) & 1) << b for b, q in enumerate(keep))
-            jk = sum(((j >> q) & 1) << b for b, q in enumerate(keep))
-            full[i, j] = reduced[ik, jk] / (2 ** len(qubits))
-    return (1 - p) * rho + p * full
-
-
 def test_full_k2_circuit_matches_hand_channel_algebra():
-    g = generate_complete(2)
-    gamma, beta = 0.9, 0.4
-    params = AnsatzParams(1, (gamma,), (beta,))
-    sched = schedule_traditional(g)
-    circ = build_traditional(g, params, sched)
-    noise = NoiseParams(p_cx=0.02, p_1q=0.005, p_idle=0.003)
+    # K2 with idle noise (its single step keeps both qubits busy); larger
+    # graphs with p_idle = 0, which the hand algebra does not model, so the
+    # column-side kernels are checked at n > 2 too
+    cases = [(generate_complete(2), (0.9, 0.4), NoiseParams(0.02, 0.005, 0.003))]
+    for g in (generate_cycle(3), generate_cycle(4), generate_erdos_renyi(4, 0.6, seed=8)):
+        cases.append((g, (0.7, 1.1), NoiseParams(0.02, 0.005, 0.0)))
+    for g, (gamma, beta), noise in cases:
+        n = g.n
+        sched = schedule_traditional(g)
+        circ = build_traditional(g, AnsatzParams(1, (gamma,), (beta,)), sched)
+        rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        rho[0, 0] = 1.0
+        for gate in circ.gates:
+            U = full_matrix(n, gate)
+            rho = U @ rho @ U.conj().T
+            p = noise.p_cx if gate.name == "CX" else noise.p_1q
+            rho = depolarize_oracle(rho, n, list(gate.qubits), p)
+        psi = run_matrix_oracle(circ)
+        expected = float(np.real(psi.conj() @ rho @ psi))
 
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    for gate in circ.gates:
-        U = full_matrix(2, gate)
-        rho = U @ rho @ U.conj().T
-        p = noise.p_cx if gate.name == "CX" else noise.p_1q
-        rho = depolarize_oracle(rho, 2, list(gate.qubits), p)
-    # single step, both qubits busy: no idle channel fires
-    psi = run_matrix_oracle(circ)
-    expected = float(np.real(psi.conj() @ rho @ psi))
-
-    result = run_noisy(circ, sched, noise)
-    assert result.p_success == pytest.approx(expected, abs=1e-10)
+        result = run_noisy(circ, sched, noise)
+        assert result.p_success == pytest.approx(expected, abs=1e-10)
 
 
 def _depolarize(rho, n, qubits, p):
@@ -199,7 +175,7 @@ def test_trace_preserved_through_noisy_run():
     sched = schedule_tree_ordered(g, t)
     circ = build_optimized(g, AnsatzParams(1, (0.5,), (0.25,)), t, sched)
     result = run_noisy(circ, sched, NoiseParams())
-    assert result.metadata["trace"] == pytest.approx(1.0, abs=1e-9)
+    assert result.trace == pytest.approx(1.0, abs=1e-9)
 
 
 def test_channels_preserve_trace_individually():

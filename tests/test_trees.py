@@ -91,8 +91,9 @@ def test_heuristic_config_validation():
 def _greedy_reference(g, root, B):
     """Straight transcription of the frontier-scan pseudocode, list-based.
 
-    Kept deliberately naive (physical removals, explicit scan with strict
-    improvement) as an independent check of the vectorized builder.
+    Kept deliberately naive (an edge frontier with physical removals,
+    explicit scan with strict improvement) as an independent check of the
+    builder's vertex frontier.
     """
     n = g.n
     level = {root: 0}
@@ -128,6 +129,13 @@ def test_greedy_matches_reference_execution():
         n = int(rng.integers(4, 16))
         g = generate_erdos_renyi(n, float(rng.uniform(0.25, 0.9)), seed=int(rng.integers(10 ** 6)))
         cases.append((g, int(rng.integers(n)), int(rng.integers(1, 6))))
+    for _ in range(5000):
+        n = int(rng.integers(2, 21))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.25, 0.9)), seed=int(rng.integers(10 ** 6)))
+        cases.append((g, int(rng.integers(n)), int(rng.integers(1, 7))))
+    for n in range(2, 9):
+        shapes = [generate_complete(n), star(n - 1)] + ([generate_cycle(n)] if n >= 3 else [])
+        cases.extend((g, root, B) for g in shapes for root in range(n) for B in (1, 2, 3, 10))
     for g, root, B in cases:
         t = build_greedy_tree(g, root, HeuristicConfig(B=B))
         assert t.discovery_order == _greedy_reference(g, root, B)
