@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, canonical_edge
 from .scheduling import TRADITIONAL, TREE_ORDERED, StepSchedule, verify_schedule
 from .trees import RootedSpanningTree
 
@@ -105,35 +105,26 @@ class CircuitIR:
         return len(self.gates)
 
 
-def _edges_by_step(g: Graph, sched: StepSchedule) -> list[tuple[int, list[Edge]]]:
+def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule,
+            reduced: dict[Edge, tuple[int, int]]) -> CircuitIR:
+    """H layer, then p (cost, mixer) layers; cost blocks run in step order,
+    canonical edge order within a step. In layer 1 the edges in reduced
+    (canonical tree edge -> (parent, child)) lose their leading CNOT."""
     if set(sched.step_of) != set(g.edges):
         raise ValueError("schedule does not cover exactly the graph's edges")
-    steps: dict[int, list[Edge]] = {}
-    for e in g.edges:
-        steps.setdefault(sched.step_of[e], []).append(e)
-    return [(s, sorted(steps[s])) for s in sorted(steps)]
-
-
-def _full_block(gates: list[Gate], j: int, k: int, gamma: float, layer: int) -> None:
-    tag = (COST, layer, (j, k))
-    gates.append(Gate("CX", (j, k), tag=tag))
-    gates.append(Gate("RZ", (k,), 2.0 * gamma, tag=tag))
-    gates.append(Gate("CX", (j, k), tag=tag))
-
-
-def _init_and_layers(g: Graph, params: AnsatzParams, by_step, layer_one_emit) -> CircuitIR:
+    order = sorted(g.edges, key=sched.step_of.__getitem__)
     gates: list[Gate] = [Gate("H", (q,)) for q in range(g.n)]
-    for layer in range(1, params.p + 1):
-        gamma = params.gammas[layer - 1]
-        for _step, edges in by_step:
-            for j, k in edges:
-                if layer == 1:
-                    layer_one_emit(gates, j, k, gamma)
-                else:
-                    _full_block(gates, j, k, gamma, layer)
-        beta = params.betas[layer - 1]
-        for q in range(g.n):
-            gates.append(Gate("RX", (q,), 2.0 * beta, tag=(MIXER, layer)))
+    for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas), start=1):
+        for e in order:
+            tag = (COST, layer, e)
+            if layer == 1 and e in reduced:
+                par, child = reduced[e]
+                gates += (Gate("RZ", (child,), 2.0 * gamma, tag=tag),
+                          Gate("CX", (par, child), tag=tag))
+            else:
+                cx = Gate("CX", e, tag=tag)  # immutable, so both CNOTs share it
+                gates += (cx, Gate("RZ", (e[1],), 2.0 * gamma, tag=tag), cx)
+        gates += [Gate("RX", (q,), 2.0 * beta, tag=(MIXER, layer)) for q in range(g.n)]
     return CircuitIR(g.n, gates)
 
 
@@ -141,12 +132,7 @@ def build_traditional(g: Graph, params: AnsatzParams, sched: StepSchedule) -> Ci
     """Full three-gate block for every edge, in schedule-step order."""
     if sched.strategy != TRADITIONAL:
         raise ValueError(f"expected a traditional schedule, got {sched.strategy!r}")
-    by_step = _edges_by_step(g, sched)
-
-    def emit(gates: list[Gate], j: int, k: int, gamma: float) -> None:
-        _full_block(gates, j, k, gamma, 1)
-
-    return _init_and_layers(g, params, by_step, emit)
+    return _ansatz(g, params, sched, {})
 
 
 def build_optimized(g: Graph, params: AnsatzParams, t: RootedSpanningTree,
@@ -162,18 +148,5 @@ def build_optimized(g: Graph, params: AnsatzParams, t: RootedSpanningTree,
     violations = verify_schedule(g, sched)
     if violations:
         raise ValueError(f"schedule fails verification: {violations[0]}")
-    by_step = _edges_by_step(g, sched)
-    oriented = {}  # canonical tree edge -> (parent, child)
-    for u, v in t.discovery_order:
-        oriented[(u, v) if u < v else (v, u)] = (u, v)
-
-    def emit(gates: list[Gate], j: int, k: int, gamma: float) -> None:
-        if (j, k) in oriented:
-            par, child = oriented[(j, k)]
-            tag = (COST, 1, (j, k))
-            gates.append(Gate("RZ", (child,), 2.0 * gamma, tag=tag))
-            gates.append(Gate("CX", (par, child), tag=tag))
-        else:
-            _full_block(gates, j, k, gamma, 1)
-
-    return _init_and_layers(g, params, by_step, emit)
+    return _ansatz(g, params, sched,
+                   {canonical_edge(u, v): (u, v) for u, v in t.discovery_order})

@@ -20,6 +20,13 @@ logger = logging.getLogger(__name__)
 
 Edge = tuple[int, int]
 
+# The generators refuse, with GraphError and before building any large
+# list, a graph that needs more than MAX_GENERATOR_PAIRS vertex pairs
+# (n(n-1)/2 for G(n, p) and complete graphs, n for a cycle), and a G(n, p)
+# sample that stays disconnected after MAX_ER_REJECTIONS draws in a row.
+MAX_GENERATOR_PAIRS = 2_000_000
+MAX_ER_REJECTIONS = 1000
+
 
 class GraphError(ValueError):
     """Raised for malformed, disconnected, or otherwise invalid graph input."""
@@ -114,27 +121,44 @@ def edges_connected(n: int, edges: Iterable[Edge]) -> bool:
     return count == n
 
 
+def _check_pairs(family: str, n: int, pairs: int) -> None:
+    if pairs > MAX_GENERATOR_PAIRS:
+        raise GraphError(
+            f"{family} graph with n={n} needs {pairs} vertex pairs, "
+            f"more than the cap of {MAX_GENERATOR_PAIRS}"
+        )
+
+
 def generate_erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
     """Sample a connected G(n, p) graph.
 
     Each vertex pair is included independently with probability ``p_edge``.
     Disconnected samples are rejected and redrawn from the advancing PCG64
     stream, so the result follows the G(n, p) distribution conditioned on
-    connectivity. Deterministic for fixed (n, p_edge, seed).
+    connectivity. Deterministic for fixed (n, p_edge, seed). Raises
+    GraphError past MAX_GENERATOR_PAIRS pairs or MAX_ER_REJECTIONS
+    disconnected samples.
     """
     if n < 2:
         raise GraphError(f"need at least 2 vertices, got n={n}")
     if not 0.0 < p_edge <= 1.0:
         raise GraphError(f"p_edge must be in (0, 1], got {p_edge}")
+    _check_pairs("erdos_renyi", n, n * (n - 1) // 2)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng = np.random.default_rng(seed)
     resamples = 0
     while True:
         draws = rng.random(len(pairs))
-        edges = [pairs[i] for i in range(len(pairs)) if draws[i] < p_edge]
+        edges = [pairs[i] for i in np.flatnonzero(draws < p_edge)]
         if edges_connected(n, edges):
             break
         resamples += 1
+        if resamples == MAX_ER_REJECTIONS:
+            raise GraphError(
+                f"erdos_renyi(n={n}, p={p_edge:g}, seed={seed}): "
+                f"{resamples} disconnected samples in a row; p_edge is "
+                f"too small for a connected graph"
+            )
     if resamples:
         logger.debug(
             "erdos_renyi(n=%d, p=%g, seed=%d): %d disconnected samples rejected",
@@ -146,12 +170,14 @@ def generate_erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
 def generate_complete(n: int) -> Graph:
     if n < 2:
         raise GraphError(f"need at least 2 vertices, got n={n}")
+    _check_pairs("complete", n, n * (n - 1) // 2)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def generate_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got n={n}")
+    _check_pairs("cycle", n, n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

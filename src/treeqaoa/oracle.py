@@ -186,14 +186,11 @@ def solve_exact(g: Graph, root: int,
 
     assert best is not None and best_total is not None
     t, step_of = best
-    delayed = sum(step_of[canonical_edge(u, v)] - t.level[v]
-                  for u, v in t.discovery_order)
     witness = StepSchedule(
         strategy=TREE_ORDERED,
         tree=t,
         step_of=step_of,
         num_steps=best_total,
-        delayed_start_total=delayed,
     )
     return OracleResult(
         best_steps=best_total,

@@ -5,7 +5,9 @@ simultaneously. The traditional strategy is plain greedy edge coloring.
 The tree-ordered strategy schedules the spanning-tree edges first, each
 strictly after its parent edge, then colors the remaining edges in steps
 strictly after every tree edge; this ordering is what licenses dropping
-one CNOT per tree edge in the first ansatz layer.
+one CNOT per tree edge in the first ansatz layer. Every edge, in either
+strategy and either phase, takes the smallest step above a floor that is
+free at both of its endpoints.
 """
 
 from __future__ import annotations
@@ -22,18 +24,23 @@ TREE_ORDERED = "tree_ordered"
 
 @dataclass
 class StepSchedule:
-    """Edge -> step map (1-based). num_steps is the max assigned step.
-
-    delayed_start_total counts, over tree edges only, how far each edge's
-    step exceeds its child vertex's level: the serialization penalty paid
-    when siblings compete for their shared parent.
-    """
+    """Edge -> step map (1-based). num_steps is the max assigned step."""
 
     strategy: str
     tree: RootedSpanningTree | None
     step_of: dict[Edge, int]
     num_steps: int
-    delayed_start_total: int = 0
+
+    @property
+    def delayed_start_total(self) -> int:
+        """Sum over tree edges of how far each edge's step exceeds its child
+        vertex's level: the serialization penalty paid when siblings compete
+        for their shared parent (0 without a tree)."""
+        if self.tree is None:
+            return 0
+        level = self.tree.level
+        return sum(self.step_of[canonical_edge(u, v)] - level[v]
+                   for u, v in self.tree.discovery_order)
 
     def tree_steps(self) -> int:
         """Max step over tree edges (0 for the traditional strategy)."""
@@ -42,23 +49,27 @@ class StepSchedule:
         return max(self.step_of[e] for e in self.tree.edge_set())
 
 
-def _greedy_color(edges: list[Edge], used_at: list[set[int]], start: int) -> dict[Edge, int]:
-    """Assign each edge the smallest step >= start free at both endpoints."""
-    assignment: dict[Edge, int] = {}
-    for u, v in edges:
-        s = start
-        while s in used_at[u] or s in used_at[v]:
-            s += 1
-        used_at[u].add(s)
-        used_at[v].add(s)
-        assignment[(u, v)] = s
-    return assignment
+def _first_free(used: list[int], u: int, v: int, floor: int) -> int:
+    """Take the smallest step above floor that is free at both u and v.
+
+    used[x] is a bitmask with bit s set when step s is taken at vertex x;
+    the chosen step is marked taken at both endpoints.
+    """
+    taken = (used[u] | used[v]) >> (floor + 1)
+    s = floor + (~taken & (taken + 1)).bit_length()
+    used[u] |= 1 << s
+    used[v] |= 1 << s
+    return s
+
+
+def _greedy_color(edges: list[Edge], used: list[int], floor: int) -> dict[Edge, int]:
+    """Assign each edge the smallest step above floor free at both endpoints."""
+    return {(u, v): _first_free(used, u, v, floor) for u, v in edges}
 
 
 def schedule_traditional(g: Graph) -> StepSchedule:
     """Greedy edge coloring in canonical edge order."""
-    used_at: list[set[int]] = [set() for _ in range(g.n)]
-    step_of = _greedy_color(list(g.edges), used_at, start=1)
+    step_of = _greedy_color(list(g.edges), [0] * g.n, floor=0)
     return StepSchedule(
         strategy=TRADITIONAL,
         tree=None,
@@ -79,31 +90,20 @@ def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
     if t.n != g.n or not tree_edges <= set(g.edges):
         raise ValueError("tree does not span this graph")
 
-    used_at: list[set[int]] = [set() for _ in range(g.n)]
+    used = [0] * g.n
     step_of: dict[Edge, int] = {}
-    edge_step_of_child: dict[int, int] = {}  # child vertex -> its tree edge's step
-    delayed = 0
+    floor = [0] * g.n  # step of each vertex's own tree edge; 0 at the root
     for u, v in t.discovery_order:
-        floor = edge_step_of_child.get(u, 0)  # 0 when u is the root
-        s = floor + 1
-        while s in used_at[u] or s in used_at[v]:
-            s += 1
-        used_at[u].add(s)
-        used_at[v].add(s)
-        step_of[canonical_edge(u, v)] = s
-        edge_step_of_child[v] = s
-        delayed += s - t.level[v]
+        floor[v] = step_of[canonical_edge(u, v)] = _first_free(used, u, v, floor[u])
 
-    max_tree_step = max(step_of.values())
     rest = [e for e in g.edges if e not in tree_edges]
-    step_of.update(_greedy_color(rest, used_at, start=max_tree_step + 1))
+    step_of.update(_greedy_color(rest, used, floor=max(step_of.values())))
 
     return StepSchedule(
         strategy=TREE_ORDERED,
         tree=t,
         step_of=step_of,
         num_steps=max(step_of.values()),
-        delayed_start_total=delayed,
     )
 
 

@@ -9,6 +9,8 @@ import contextlib
 
 import numpy as np
 
+from treeqaoa.circuits import COST, INIT, MIXER
+from treeqaoa.graphs import canonical_edge
 from treeqaoa.trees import RootedSpanningTree
 
 # a header that declares 10^9 vertices but one edge; only safe to parse
@@ -115,3 +117,65 @@ def address_space_cap(extra_bytes):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _probe(used_at, u, v, start):
+    """Smallest step >= start missing from both endpoints' step sets."""
+    s = start
+    while s in used_at[u] or s in used_at[v]:
+        s += 1
+    used_at[u].add(s)
+    used_at[v].add(s)
+    return s
+
+
+def schedule_reference(g, t=None):
+    """Step map from per-vertex step sets, probed one step at a time.
+
+    Without a tree: greedy edge coloring in canonical order. With a tree:
+    its edges in discovery order, each above its parent edge's step, then
+    the other edges in canonical order above the whole tree phase.
+    """
+    used_at = [set() for _ in range(g.n)]
+    step_of = {}
+    start = 1
+    if t is not None:
+        edge_step_of_child = {}
+        for u, v in t.discovery_order:
+            s = _probe(used_at, u, v, edge_step_of_child.get(u, 0) + 1)
+            step_of[canonical_edge(u, v)] = s
+            edge_step_of_child[v] = s
+        start = max(step_of.values()) + 1
+    for u, v in g.edges:
+        if (u, v) not in step_of:
+            step_of[(u, v)] = _probe(used_at, u, v, start)
+    return step_of
+
+
+def ansatz_reference(g, params, step_of, t=None):
+    """Ansatz as (name, qubits, angle, tag) tuples, from edges grouped per
+    step with each group sorted; with a tree, its edges' layer-1 blocks are
+    RZ(child) then CX(parent, child), every other block CX RZ CX."""
+    steps = {}
+    for e in g.edges:
+        steps.setdefault(step_of[e], []).append(e)
+    oriented = {}
+    if t is not None:
+        oriented = {canonical_edge(u, v): (u, v) for u, v in t.discovery_order}
+    gates = [("H", (q,), None, (INIT,)) for q in range(g.n)]
+    for layer in range(1, params.p + 1):
+        gamma = params.gammas[layer - 1]
+        for s in sorted(steps):
+            for j, k in sorted(steps[s]):
+                tag = (COST, layer, (j, k))
+                if layer == 1 and (j, k) in oriented:
+                    par, child = oriented[(j, k)]
+                    gates.append(("RZ", (child,), 2.0 * gamma, tag))
+                    gates.append(("CX", (par, child), None, tag))
+                else:
+                    gates.append(("CX", (j, k), None, tag))
+                    gates.append(("RZ", (k,), 2.0 * gamma, tag))
+                    gates.append(("CX", (j, k), None, tag))
+        beta = params.betas[layer - 1]
+        gates.extend(("RX", (q,), 2.0 * beta, (MIXER, layer)) for q in range(g.n))
+    return gates

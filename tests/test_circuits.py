@@ -2,10 +2,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional
 from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
 from treeqaoa.trees import HeuristicConfig, build_dfs_tree, build_greedy_tree
+
+from helpers import ansatz_reference, schedule_reference
 
 
 def params_for(p, gamma=0.4, beta=0.7):
@@ -156,3 +159,39 @@ def test_circuit_text_round_shape():
     assert lines[0] == f"2 {len(c.gates)}"
     assert lines[1] == "H 0"
     assert lines[3].startswith("CX 0 1")
+
+
+def _assert_matches_reference(g, strategy, root, B, params, text):
+    sched = schedule_for(g, strategy, root, B)
+    ref = schedule_reference(g, sched.tree)
+    assert sched.step_of == ref
+    assert sched.num_steps == max(ref.values())
+    circ = circuit_for(g, sched, params)
+    expected = ansatz_reference(g, params, ref, sched.tree)
+    assert [(gt.name, gt.qubits, gt.angle, gt.tag) for gt in circ.gates] == expected
+    if text:
+        assert circ.to_text() == CircuitIR(g.n, [Gate(*gt) for gt in expected]).to_text()
+
+
+def test_synthesis_matches_set_probe_reference():
+    # the bitmask step pick and the single ansatz walk against the
+    # set-probing scheduler and the per-step block rule; equal gate fields
+    # give equal dumps, so the text is compared on every tenth graph only
+    rng = np.random.default_rng(2024)
+    for i in range(2000):
+        n = int(rng.integers(2, 41))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.45)), seed=int(rng.integers(2 ** 32)))
+        root, B, p = int(rng.integers(n)), int(rng.integers(1, 11)), int(rng.integers(1, 4))
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=2 * p).tolist()
+        params = AnsatzParams(p, tuple(angles[:p]), tuple(angles[p:]))
+        for strategy in STRATEGIES:
+            _assert_matches_reference(g, strategy, root, B, params, text=i % 10 == 0)
+
+
+def test_synthesis_matches_reference_past_128_steps():
+    # K130 needs more than 128 steps under every strategy, so the step
+    # bitmasks run past several machine words
+    g = generate_complete(130)
+    for strategy in STRATEGIES:
+        assert schedule_for(g, strategy, 5, 4).num_steps > 128
+        _assert_matches_reference(g, strategy, 5, 4, params_for(1), text=True)

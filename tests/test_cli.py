@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -160,6 +161,22 @@ def test_huge_header_exits_nonzero(tmp_path, capsys):
         for command in ("tree", "schedule", "circuit", "simulate", "oracle"):
             assert main([command, str(hostile)]) == 1
             assert "not connected" in capsys.readouterr().err
+
+
+def test_generator_caps_exit_nonzero(capsys):
+    # refused before any pair list is built, so a cap a little above the
+    # current size is never reached
+    with address_space_cap(256 << 20):
+        for family, n in (("complete", "100000"), ("cycle", "100000000"),
+                          ("erdos-renyi", "100000")):
+            assert main(["gen", "--family", family, "--n", n, "--p-edge", "0.5"]) == 1
+            assert "error:" in capsys.readouterr().err
+        # too sparse to ever connect: gives up after a bounded number of draws
+        start = time.perf_counter()
+        assert main(["gen", "--family", "erdos-renyi", "--n", "100",
+                     "--p-edge", "0.01"]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert "disconnected samples" in capsys.readouterr().err
 
 
 def test_stdout_fallback(graph_file, capsys):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from treeqaoa import graphs
 from treeqaoa.graphs import (
+    MAX_GENERATOR_PAIRS,
     Graph,
     GraphError,
     edges_connected,
@@ -162,3 +164,34 @@ def test_huge_vertex_count_rejected_before_allocation():
             Graph(10 ** 9, [(0, 1)])
         with pytest.raises(GraphError, match="not connected"):
             read_edge_list(HOSTILE_HEADER)
+
+
+def test_generators_refuse_past_the_pair_cap(monkeypatch):
+    with address_space_cap(256 << 20):
+        with pytest.raises(GraphError, match="cap"):
+            generate_complete(100_000)
+        with pytest.raises(GraphError, match="cap"):
+            generate_cycle(MAX_GENERATOR_PAIRS + 1)
+        with pytest.raises(GraphError, match="cap"):
+            generate_erdos_renyi(100_000, 0.5, seed=0)
+    # the cap is inclusive: exactly MAX_GENERATOR_PAIRS pairs is allowed
+    monkeypatch.setattr(graphs, "MAX_GENERATOR_PAIRS", 10)
+    assert generate_complete(5).m == 10
+    assert generate_erdos_renyi(5, 0.9, seed=1).n == 5
+    assert generate_cycle(10).m == 10
+    for make in (lambda: generate_complete(6), lambda: generate_cycle(11),
+                 lambda: generate_erdos_renyi(6, 0.9, seed=1)):
+        with pytest.raises(GraphError, match="cap"):
+            make()
+
+
+def test_sparse_er_gives_up_after_bounded_rejections(monkeypatch):
+    with pytest.raises(GraphError, match="1000 disconnected samples"):
+        generate_erdos_renyi(100, 0.01, seed=1)
+    # at seed 0, G(2, 0.5) is disconnected on the first draw only
+    g = generate_erdos_renyi(2, 0.5, seed=0)
+    monkeypatch.setattr(graphs, "MAX_ER_REJECTIONS", 1)
+    with pytest.raises(GraphError, match="disconnected"):
+        generate_erdos_renyi(2, 0.5, seed=0)
+    monkeypatch.setattr(graphs, "MAX_ER_REJECTIONS", 2)
+    assert generate_erdos_renyi(2, 0.5, seed=0) == g

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from treeqaoa.graphs import Graph, generate_complete, generate_cycle, generate_erdos_renyi
+from treeqaoa.graphs import (
+    Graph, canonical_edge, generate_complete, generate_cycle, generate_erdos_renyi,
+)
 from treeqaoa.oracle import (
     OracleBudgetError,
     heuristic_gap,
@@ -48,9 +50,14 @@ def test_witness_always_verifies():
         g = generate_erdos_renyi(n, 0.5, seed=int(rng.integers(10 ** 6)))
         root = int(rng.integers(n))
         result = solve_exact(g, root)
-        assert verify_schedule(g, result.witness_schedule) == []
-        assert result.witness_schedule.num_steps == result.best_steps
+        witness = result.witness_schedule
+        assert verify_schedule(g, witness) == []
+        assert witness.num_steps == result.best_steps
         assert result.witness_tree.root == root
+        t = result.witness_tree
+        assert witness.delayed_start_total == sum(
+            witness.step_of[canonical_edge(u, v)] - t.level[v] for u, v in t.discovery_order
+        )
 
 
 def test_value_invariant_under_relabeling():

@@ -78,6 +78,7 @@ def test_delayed_start_accounting():
     g_fork = Graph(4, [(0, 1), (1, 2), (1, 3)])
     t_fork = tree_from_edges(4, 0, [(0, 1), (1, 2), (1, 3)])
     assert schedule_tree_ordered(g_fork, t_fork).delayed_start_total == 1
+    assert schedule_traditional(g_fork).delayed_start_total == 0
 
 
 def test_tree_must_span():
