@@ -50,7 +50,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 2:
             raise GraphError(f"need at least 2 vertices, got n={n}")
-        seen: set[Edge] = set()
+        # keeps input order, so sorting edges that arrive sorted takes linear time
+        seen: dict[Edge, None] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
@@ -59,7 +60,7 @@ class Graph:
             e = canonical_edge(u, v)
             if e in seen:
                 raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
+            seen[e] = None
         if len(seen) < n - 1:
             # checked before any per-vertex allocation, so a hostile header
             # like n = 10^9 with one edge fails fast

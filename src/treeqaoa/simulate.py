@@ -1,19 +1,21 @@
-"""Statevector and density-matrix simulation of the ansatz circuits.
+"""Statevector and noisy simulation of the ansatz circuits.
 
 Amplitudes are little-endian: basis index i encodes qubit q as bit q of i.
-The noisy engine evolves a density matrix, applying a depolarizing channel
-after every gate (two-qubit for CNOT, one-qubit otherwise) plus a per-step
-idle channel on every qubit untouched by that step's edges, so error
-exposure grows both with CNOT count and with schedule depth.
-
-The depolarizing channel with probability p replaces the state of the
-affected qubits by the maximally mixed state:
+The noisy engine evolves a density matrix rho, held as its real Pauli
+coefficients r_P = Tr(P rho), applying a depolarizing channel after every
+gate (two-qubit for CNOT, one-qubit otherwise) plus a per-step idle channel
+on every qubit untouched by that step's edges, so error exposure grows both
+with CNOT count and with schedule depth. The depolarizing channel with
+probability p replaces the state of the affected qubits by the maximally
+mixed state, so it scales by 1 - p every r_P whose P is not I on them all:
     D_p(rho) = (1 - p) * rho + p * (I / 2^k) (x) Tr_k(rho).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +23,19 @@ from .circuits import COST, CircuitIR, Gate
 from .graphs import Graph, canonical_edge
 from .scheduling import StepSchedule
 
+logger = logging.getLogger(__name__)
+
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _H = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
+# CX in the basis 2 * control + target
+_CX = np.eye(4)[[0, 1, 3, 2]]
+# I, X, Y, Z, and their two-qubit products with the control's factor first
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI2 = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
+# one qubit's 2x2 block (b00, b01, b10, b11) -> coefficients of I, X, iY, Z
+_BUTTERFLY = np.array([[1.0, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]])
+# a Pauli digit's weight i^[digit is Y]
+_PHASE = np.array([1, 1, 1j, 1])
 
 MAX_STATEVECTOR_QUBITS = 20
 MAX_DENSITY_QUBITS = 10
@@ -69,13 +82,16 @@ class SimResult:
     trace: float
 
 
-def _gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.name == "H":
+def _gate_matrix(name: str, angle: float | None) -> np.ndarray:
+    if name == "H":
         return _H
-    if gate.name == "RX":
-        c, s = np.cos(0.5 * gate.angle), np.sin(0.5 * gate.angle)
+    if name == "RX":
+        c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
         return np.array([[c, -1j * s], [-1j * s, c]])
-    raise ValueError(f"unknown gate {gate.name!r}")
+    if name == "RZ":
+        f = np.exp(-0.5j * angle)
+        return np.diag([f, f.conjugate()])
+    raise ValueError(f"unknown gate {name!r}")
 
 
 def run_ideal(c: CircuitIR) -> StateVector:
@@ -86,7 +102,7 @@ def run_ideal(c: CircuitIR) -> StateVector:
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     for gate in c.gates:
-        _gate_inplace(psi, n, gate, False)
+        _gate_inplace(psi, gate)
     return StateVector(n, psi.reshape(-1))
 
 
@@ -110,15 +126,12 @@ def expected_cut(sv: StateVector, g: Graph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# in-place kernels
-#
-# A statevector lives as a (2,)*n tensor with axis n-1-q for qubit q; a
-# density matrix as a (2,)*(2n) view of a contiguous (2^n, 2^n) array, with
-# axis n-1-q for qubit q on the row side and 2n-1-q on the column side. One
-# gate kernel serves both: it maps qubit q to axis top-1-q, so a statevector
-# takes U at top=n and a density matrix takes U at top=n and U* at top=2n.
-# Every kernel mutates slices of the tensor directly, so no axis
-# permutation or copy of the full state ever happens.
+# Kernels. A statevector is a (2,)*n tensor with axis n-1-q for qubit q; a
+# gate updates the two slices of its qubit's axis in place. The noisy state is
+# r, a contiguous float (4,)*n tensor with axis n-1-q for qubit q, indexed by
+# I, X, Y, Z. There a gate is a real Pauli transfer matrix (PTM), and the
+# depolarizing channel after it scales the PTM's non-identity rows by 1-p, so
+# a gate and its channel are one pass from r into a second buffer.
 
 
 def _slot(t: np.ndarray, assignments: list[tuple[int, int]]):
@@ -129,95 +142,87 @@ def _slot(t: np.ndarray, assignments: list[tuple[int, int]]):
     return t[tuple(idx) + (Ellipsis,)]
 
 
-def _gate_inplace(t: np.ndarray, top: int, gate: Gate, conj: bool) -> None:
-    """Apply gate (its complex conjugate if conj) on axes top-1-q."""
+def _gate_inplace(t: np.ndarray, gate: Gate) -> None:
+    """Apply gate to the statevector tensor t."""
     if gate.name == "CX":
-        ca, ta = (top - 1 - q for q in gate.qubits)
+        ca, ta = (t.ndim - 1 - q for q in gate.qubits)
         a = _slot(t, [(ca, 1), (ta, 0)])
         b = _slot(t, [(ca, 1), (ta, 1)])
         tmp = a.copy()
         a[...] = b
         b[...] = tmp
         return
-    axis = top - 1 - gate.qubits[0]
+    axis = t.ndim - 1 - gate.qubits[0]
     v0 = _slot(t, [(axis, 0)])
     v1 = _slot(t, [(axis, 1)])
     if gate.name == "RZ":
         f = np.exp(-0.5j * gate.angle)
-        lo, hi = (f.conjugate(), f) if conj else (f, f.conjugate())
-        v0 *= lo
-        v1 *= hi
+        v0 *= f
+        v1 *= f.conjugate()
         return
-    M = _gate_matrix(gate).conj() if conj else _gate_matrix(gate)
+    M = _gate_matrix(gate.name, gate.angle)
     new0 = M[0, 0] * v0 + M[0, 1] * v1
     v1 *= M[1, 1]
     v1 += M[1, 0] * v0
     v0[...] = new0
 
 
-def _dm_depolarize_inplace(t: np.ndarray, n: int, qubits: tuple[int, ...],
-                           p: float) -> None:
-    if p == 0.0:
+@lru_cache(maxsize=256)
+def _ptm(name: str, angle: float | None) -> np.ndarray:
+    """R[a, b] = Tr(P_a U P_b U^dagger) / 2^k, indexed 4 * control + target
+    digit for CX; rounding residue below 1e-15 is zeroed."""
+    U, P = (_CX, _PAULI2) if name == "CX" else (_gate_matrix(name, angle), _PAULI)
+    R = np.einsum("aij,jk,bkl,il->ab", P, U, P, U.conj()).real / len(U)
+    R[np.abs(R) < 1e-15] = 0.0
+    R.flags.writeable = False  # cached: shared by every caller
+    return R
+
+
+def _ptm_pass(src: np.ndarray, dst: np.ndarray, qubits: tuple[int, ...],
+              R: np.ndarray, keep: float) -> None:
+    """dst = R src on the size-4 axes of qubits, rows but the first scaled by keep."""
+    scale = np.where(np.arange(len(R)) == 0, 1.0, keep)
+    if len(qubits) == 1:
+        # batched over the axes above, or, while the runs below are short, on rows
+        B, R = 4 ** qubits[0], R * scale[:, None]
+        if B >= 16:
+            np.matmul(R, src.reshape(-1, 4, B), out=dst.reshape(-1, 4, B))
+        else:
+            np.matmul(src.reshape(-1, 4 * B), np.kron(R, np.eye(B)).T, out=dst.reshape(-1, 4 * B))
         return
-    k = len(qubits)
-    raxes = [n - 1 - q for q in qubits]
-    caxes = [2 * n - 1 - q for q in qubits]
-    patterns = [
-        [(r, (bits >> i) & 1) for i, r in enumerate(raxes)]
-        + [(c, (bits >> i) & 1) for i, c in enumerate(caxes)]
-        for bits in range(2 ** k)
-    ]
-    total = None
-    for pat in patterns:
-        block = _slot(t, pat)
-        total = block.copy() if total is None else total + block
-    t *= 1.0 - p
-    total *= p / (2 ** k)
-    for pat in patterns:
-        _slot(t, pat)[...] += total
+    # two qubits: R is a signed permutation (a CX), so 16 scaled block copies
+    axes = [src.ndim - 1 - q for q in qubits]
+    for a, row in enumerate(R):
+        b = np.flatnonzero(row)[0]
+        np.multiply(_slot(src, list(zip(axes, divmod(b, 4)))), row[b] * scale[a],
+                    out=_slot(dst, list(zip(axes, divmod(a, 4)))))
 
 
-class _NoisyState:
-    """State tensor that stays a pure (2,)*n statevector until the first
-    nonzero channel fires, then becomes a (2,)*(2n) density matrix. With
-    all-zero noise the evolution therefore runs the exact same kernel
-    calls as run_ideal."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.t = np.zeros((2,) * n, dtype=complex)
-        self.t[(0,) * n] = 1.0
-
-    def apply_gate(self, gate: Gate) -> None:
-        _gate_inplace(self.t, self.n, gate, False)
-        if self.t.ndim > self.n:
-            _gate_inplace(self.t, 2 * self.n, gate, True)
-
-    def depolarize(self, qubits: tuple[int, ...], p: float) -> None:
-        if p == 0.0:
-            return
-        if self.t.ndim == self.n:
-            psi = self.t.reshape(-1)
-            self.t = np.outer(psi, psi.conj()).reshape((2,) * (2 * self.n))
-        _dm_depolarize_inplace(self.t, self.n, qubits, p)
-
-    def overlap(self, psi: np.ndarray) -> tuple[float, float]:
-        """(normalized <psi|state|psi>, trace). Normalizing by the norms
-        cancels float drift, so a noiseless run scores exactly 1."""
-        ref = float(np.real(np.vdot(psi, psi)))
-        if self.t.ndim == self.n:
-            mine = self.t.reshape(-1)
-            amp2 = float(abs(np.vdot(psi, mine)) ** 2)
-            tr = float(np.real(np.vdot(mine, mine)))
-            return amp2 / (ref * tr), tr
-        rho = self.t.reshape(psi.size, psi.size)
-        tr = float(np.real(np.trace(rho)))
-        raw = float(np.real(psi.conj() @ rho @ psi))
-        return raw / (ref * tr), tr
+def _overlap(r: np.ndarray, psi: np.ndarray, spare: np.ndarray) -> float:
+    """sum_P r_P <psi|P|psi> in real arithmetic, overwriting spare. With psi =
+    a + ib, K = Re + Im of psi psi^dagger = (a+b)a^T + (b-a)b^T; one butterfly
+    per qubit on its interleaved 2x2 blocks gives c_P = Tr(Q_P K), Q_P being P
+    with iY for Y, and <psi|P|psi> = c_P (Re i^y + Im i^y) for y factors Y."""
+    n = r.ndim
+    a, b = psi.real, psi.imag
+    np.matmul(np.stack([a + b, b - a], 1), np.stack([a, b]), out=spare.reshape(2 ** n, 2 ** n))
+    c = np.empty_like(r)
+    interleave = [axis for j in range(n) for axis in (j, n + j)]
+    np.copyto(c.reshape((2,) * (2 * n)), spare.reshape((2,) * (2 * n)).transpose(interleave))
+    for q in range(n):
+        _ptm_pass(c, spare, (q,), _BUTTERFLY, 1.0)
+        c, spare = spare, c
+    np.multiply(r, c, out=c)
+    # z = sum_P r_P c_P i^y, contracted one Pauli axis at a time
+    z = (c.reshape(-1, 4) @ _PHASE.real).astype(complex)
+    z.imag = c.reshape(-1, 4)[:, 2]
+    while z.size > 1:
+        z = z.reshape(-1, 4) @ _PHASE
+    return float(z[0].real + z[0].imag)
 
 
 def run_noisy(c: CircuitIR, sched: StepSchedule, noise: NoiseParams) -> SimResult:
-    """Density-matrix evolution of c under per-gate and per-step noise.
+    """Noisy evolution of c under per-gate and per-step depolarizing noise.
 
     The schedule supplies both the step of every edge block (for idle
     accounting) and the set of qubits busy in each step.
@@ -225,42 +230,46 @@ def run_noisy(c: CircuitIR, sched: StepSchedule, noise: NoiseParams) -> SimResul
     n = c.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"too many qubits for density matrix: {n} > {MAX_DENSITY_QUBITS}")
-
-    busy: dict[int, set[int]] = {s: set() for s in range(1, sched.num_steps + 1)}
+    try:  # (layer, step) of each cost gate
+        keys = [(g.tag[1], sched.step_of[canonical_edge(*g.tag[2])]) if g.tag[0] == COST
+                else None for g in c.gates]
+    except KeyError as missing:
+        raise ValueError(f"circuit edge {missing.args[0]} missing from schedule") from None
+    idle: dict[int, set[int]] = {s: set(range(n)) for s in range(1, sched.num_steps + 1)}
     for (u, v), s in sched.step_of.items():
-        busy[s].update((u, v))
-    all_qubits = set(range(n))
+        idle[s] -= {u, v}
 
     ideal = run_ideal(c)
-    state = _NoisyState(n)
+    # |0...0><0...0| = prod_q (I + Z_q) / 2: coefficient 1 on every string of I and Z
+    r = np.zeros((4,) * n)
+    r[np.ix_(*[[0, 3]] * n)] = 1.0
+    spare = np.empty_like(r)
+    channels = 0
 
-    def idle_flush(step_key: tuple[int, int] | None) -> None:
-        if step_key is None:
-            return
-        for q in sorted(all_qubits - busy[step_key[1]]):
-            state.depolarize((q,), noise.p_idle)
+    def idle_flush(key: tuple[int, int] | None) -> None:
+        nonlocal channels
+        for q in idle[key[1]] if key is not None and noise.p_idle else ():
+            r[(slice(None),) * (n - 1 - q) + (slice(1, None),)] *= 1.0 - noise.p_idle
+            channels += 1
 
     current: tuple[int, int] | None = None  # (layer, step) of the open cost step
-    for gate in c.gates:
-        if gate.tag[0] == COST:
-            layer, edge = gate.tag[1], gate.tag[2]
-            try:
-                step = sched.step_of[canonical_edge(*edge)]
-            except KeyError:
-                raise ValueError(f"circuit edge {edge} missing from schedule") from None
-            key = (layer, step)
-            if key != current:
-                idle_flush(current)
-                current = key
-        else:
+    for gate, key in zip(c.gates, keys):
+        if key != current:
             idle_flush(current)
-            current = None
-        state.apply_gate(gate)
-        if gate.name == "CX":
-            state.depolarize(gate.qubits, noise.p_cx)
-        else:
-            state.depolarize(gate.qubits, noise.p_1q)
+            current = key
+        p = noise.p_cx if gate.name == "CX" else noise.p_1q
+        _ptm_pass(r, spare, gate.qubits, _ptm(gate.name, gate.angle), 1.0 - p)
+        r, spare = spare, r
+        channels += p > 0.0
     idle_flush(current)
 
-    p_success, trace = state.overlap(ideal.amplitudes)
+    psi = ideal.amplitudes
+    ref = float(np.real(np.vdot(psi, psi)))
+    if channels == 0:  # the state is psi itself, which scores exactly 1
+        p_success, trace = 1.0, ref
+    else:  # <psi|rho|psi> = 2^-n sum_P r_P <psi|P|psi>, normalized by both norms
+        trace = float(r[(0,) * n])
+        p_success = _overlap(r, psi, spare) / 2 ** n / (ref * trace)
+    logger.debug("noisy run: %d channels, |1 - trace| = %.3g, %d state bytes",
+                 channels, abs(1 - trace), 2 * r.nbytes)
     return SimResult(p_success=p_success, ideal_state=ideal, trace=trace)

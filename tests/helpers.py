@@ -11,6 +11,7 @@ import numpy as np
 
 from treeqaoa.circuits import COST, INIT, MIXER
 from treeqaoa.graphs import canonical_edge
+from treeqaoa.simulate import SimResult, run_ideal
 from treeqaoa.trees import RootedSpanningTree
 
 # a header that declares 10^9 vertices but one edge; only safe to parse
@@ -30,15 +31,19 @@ def embed_1q(n, q, U):
     return full
 
 
-def full_matrix(n, gate):
+def matrix_1q(gate):
+    """The 2x2 unitary of an H, RZ or RX gate."""
     if gate.name == "H":
-        return embed_1q(n, gate.qubits[0], _H)
+        return _H
     if gate.name == "RZ":
-        u = np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-        return embed_1q(n, gate.qubits[0], u)
-    if gate.name == "RX":
-        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        return embed_1q(n, gate.qubits[0], np.array([[c, -1j * s], [-1j * s, c]]))
+        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
+    c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def full_matrix(n, gate):
+    if gate.name != "CX":
+        return embed_1q(n, gate.qubits[0], matrix_1q(gate))
     ctrl, tgt = gate.qubits
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     p1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -51,6 +56,167 @@ def run_matrix_oracle(circ):
     for gate in circ.gates:
         psi = full_matrix(circ.n_qubits, gate) @ psi
     return psi
+
+
+# ---------------------------------------------------------------------------
+# the density-matrix engine that the Pauli-transfer engine replaced, kept as
+# the slow reference for differential tests: a complex (2,)*(2n) tensor with
+# axis n-1-q for qubit q on the row side and 2n-1-q on the column side, that
+# stays a pure (2,)*n statevector until the first nonzero channel fires
+
+
+def _slot(t, assignments):
+    idx = [slice(None)] * t.ndim
+    for axis, bit in assignments:
+        idx[axis] = bit
+    return t[tuple(idx) + (Ellipsis,)]
+
+
+def gate_inplace_reference(t, top, gate, conj):
+    """Apply gate (its complex conjugate if conj) on axes top-1-q."""
+    if gate.name == "CX":
+        ca, ta = (top - 1 - q for q in gate.qubits)
+        a = _slot(t, [(ca, 1), (ta, 0)])
+        b = _slot(t, [(ca, 1), (ta, 1)])
+        tmp = a.copy()
+        a[...] = b
+        b[...] = tmp
+        return
+    axis = top - 1 - gate.qubits[0]
+    v0 = _slot(t, [(axis, 0)])
+    v1 = _slot(t, [(axis, 1)])
+    if gate.name == "RZ":
+        f = np.exp(-0.5j * gate.angle)
+        lo, hi = (f.conjugate(), f) if conj else (f, f.conjugate())
+        v0 *= lo
+        v1 *= hi
+        return
+    M = matrix_1q(gate).conj() if conj else matrix_1q(gate)
+    new0 = M[0, 0] * v0 + M[0, 1] * v1
+    v1 *= M[1, 1]
+    v1 += M[1, 0] * v0
+    v0[...] = new0
+
+
+def dm_depolarize_inplace(t, n, qubits, p):
+    """Depolarize the (2,)*(2n) density tensor t on qubits, in place."""
+    if p == 0.0:
+        return
+    k = len(qubits)
+    raxes = [n - 1 - q for q in qubits]
+    caxes = [2 * n - 1 - q for q in qubits]
+    patterns = [
+        [(r, (bits >> i) & 1) for i, r in enumerate(raxes)]
+        + [(c, (bits >> i) & 1) for i, c in enumerate(caxes)]
+        for bits in range(2 ** k)
+    ]
+    total = None
+    for pat in patterns:
+        block = _slot(t, pat)
+        total = block.copy() if total is None else total + block
+    t *= 1.0 - p
+    total *= p / (2 ** k)
+    for pat in patterns:
+        _slot(t, pat)[...] += total
+
+
+def noisy_events(c, sched, noise):
+    """The noisy run in order: ("gate", gate) for each gate, then
+    ("channel", qubits, p) for the channel after it, and the idle channels of
+    each step, one qubit at a time, when the next step or layer begins."""
+    busy = {s: set() for s in range(1, sched.num_steps + 1)}
+    for (u, v), s in sched.step_of.items():
+        busy[s].update((u, v))
+
+    def idle(key):
+        if key is not None:
+            for q in sorted(set(range(c.n_qubits)) - busy[key[1]]):
+                yield ("channel", (q,), noise.p_idle)
+
+    current = None
+    for gate in c.gates:
+        key = None
+        if gate.tag[0] == COST:
+            key = (gate.tag[1], sched.step_of[canonical_edge(*gate.tag[2])])
+        if key != current:
+            yield from idle(current)
+            current = key
+        yield ("gate", gate)
+        yield ("channel", gate.qubits, noise.p_cx if gate.name == "CX" else noise.p_1q)
+    yield from idle(current)
+
+
+def _score(c, rho):
+    """SimResult of a final (2^n, 2^n) density matrix against the ideal state,
+    normalized by both norms as the engine does."""
+    ideal = run_ideal(c)
+    psi = ideal.amplitudes
+    ref = float(np.real(np.vdot(psi, psi)))
+    tr = float(np.real(np.trace(rho)))
+    return SimResult(float(np.real(psi.conj() @ rho @ psi)) / (ref * tr), ideal, tr)
+
+
+def run_noisy_reference(c, sched, noise):
+    """The complex density-matrix engine that the Pauli-transfer engine
+    replaced: same channels in the same order, evolved on a (2,)*(2n) tensor."""
+    n = c.n_qubits
+    t = np.zeros((2,) * n, dtype=complex)
+    t[(0,) * n] = 1.0
+    for event in noisy_events(c, sched, noise):
+        if event[0] == "gate":
+            gate_inplace_reference(t, n, event[1], False)
+            if t.ndim > n:
+                gate_inplace_reference(t, 2 * n, event[1], True)
+        elif event[2] != 0.0:
+            if t.ndim == n:
+                psi = t.reshape(-1)
+                t = np.outer(psi, psi.conj()).reshape((2,) * (2 * n))
+            dm_depolarize_inplace(t, n, event[1], event[2])
+    if t.ndim == n:
+        ideal = run_ideal(c)
+        psi, mine = ideal.amplitudes, t.reshape(-1)
+        ref, tr = float(np.real(np.vdot(psi, psi))), float(np.real(np.vdot(mine, mine)))
+        return SimResult(float(abs(np.vdot(psi, mine)) ** 2) / (ref * tr), ideal, tr)
+    return _score(c, t.reshape(2 ** n, 2 ** n))
+
+
+def run_noisy_dense(c, sched, noise):
+    """The same run on a dense (2^n, 2^n) density matrix, through the kron
+    matrix oracle and the partial-trace channel oracle."""
+    n = c.n_qubits
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    for event in noisy_events(c, sched, noise):
+        if event[0] == "gate":
+            U = full_matrix(n, event[1])
+            rho = U @ rho @ U.conj().T
+        else:
+            rho = depolarize_oracle(rho, n, list(event[1]), event[2])
+    return _score(c, rho)
+
+
+_PAULI_1Q = [np.eye(2), _X, np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def _pauli_string(digits):
+    """Kron of the Paulis indexed by digits, listed for qubits n-1..0."""
+    P = np.eye(1)
+    for d in digits:
+        P = np.kron(P, _PAULI_1Q[d])
+    return P
+
+
+def rho_to_pauli(rho, n):
+    """r_P = Tr(P rho) as a (4,)*n array, axis n-1-q for qubit q."""
+    r = np.empty((4,) * n)
+    for digits in np.ndindex(*r.shape):
+        r[digits] = np.real(np.trace(_pauli_string(digits) @ rho))
+    return r
+
+
+def pauli_to_rho(r, n):
+    """rho = 2^-n sum_P r_P P."""
+    return sum(r[d] * _pauli_string(d) for d in np.ndindex(*r.shape)) / 2 ** n
 
 
 def depolarize_oracle(rho, n, qubits, p):

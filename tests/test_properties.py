@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from treeqaoa.bench import STRATEGIES, TREE_STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams
 from treeqaoa.graphs import Graph, read_edge_list, write_edge_list
+from treeqaoa.oracle import heuristic_gap
 from treeqaoa.scheduling import verify_schedule
+from treeqaoa.trees import HeuristicConfig
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -57,3 +59,12 @@ def test_edge_list_round_trip(g):
     back = read_edge_list(text)
     assert back == g
     assert write_edge_list(back) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=6), st.data())
+def test_heuristic_never_beats_the_oracle(g, data):
+    root = data.draw(st.integers(0, g.n - 1))
+    B = data.draw(st.integers(1, 6))
+    steps, exact = heuristic_gap(g, root, HeuristicConfig(B=B))
+    assert steps >= exact

@@ -1,13 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
+from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional
 from treeqaoa.graphs import Graph, generate_complete, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import schedule_traditional, schedule_tree_ordered
 from treeqaoa.simulate import (
     NoiseParams,
     StateVector,
-    _dm_depolarize_inplace,
+    _ptm,
+    _ptm_pass,
     expected_cut,
     fidelity,
     run_ideal,
@@ -15,7 +19,15 @@ from treeqaoa.simulate import (
 )
 from treeqaoa.trees import HeuristicConfig, build_dfs_tree, build_greedy_tree
 
-from helpers import depolarize_oracle, full_matrix, run_matrix_oracle
+from helpers import (
+    depolarize_oracle,
+    full_matrix,
+    pauli_to_rho,
+    rho_to_pauli,
+    run_matrix_oracle,
+    run_noisy_dense,
+    run_noisy_reference,
+)
 
 def test_h_layer_uniform():
     circ = CircuitIR(2, [Gate("H", (0,)), Gate("H", (1,))])
@@ -141,10 +153,11 @@ def test_full_k2_circuit_matches_hand_channel_algebra():
 
 
 def _depolarize(rho, n, qubits, p):
-    """The engine's in-place channel kernel, applied to a copy of rho."""
-    out = rho.copy()
-    _dm_depolarize_inplace(out.reshape((2,) * (2 * n)), n, qubits, p)
-    return out
+    """The engine's channel, as the pass of an identity gate on qubits,
+    applied to rho through a rho -> Pauli -> rho round trip."""
+    out = np.empty((4,) * n)
+    _ptm_pass(rho_to_pauli(rho, n), out, qubits, np.eye(4 ** len(qubits)), 1.0 - p)
+    return pauli_to_rho(out, n)
 
 
 def test_depolarizing_channel_unit():
@@ -223,3 +236,64 @@ def test_statevector_and_noise_validation():
         NoiseParams(p_cx=1.0)
     with pytest.raises(ValueError):
         NoiseParams(p_idle=-0.1)
+
+
+def test_gate_ptms_are_orthogonal_and_fix_identity():
+    rng = np.random.default_rng(5)
+    keys = [("H", None), ("CX", None), ("RX", np.pi), ("RZ", 0.0)]
+    keys += [(name, float(a)) for name in ("RX", "RZ") for a in rng.uniform(-7, 7, 20)]
+    for name, angle in keys:
+        R = _ptm(name, angle)
+        assert np.allclose(R @ R.T, np.eye(len(R)), atol=1e-12)
+        assert R[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert not R[0, 1:].any() and not R[1:, 0].any()
+
+
+def _random_run(rng, max_n):
+    """A random graph, strategy, root, B, angles and noise; each noise slot
+    is zero a quarter of the time."""
+    n = int(rng.integers(2, max_n + 1))
+    g = generate_erdos_renyi(n, float(rng.uniform(0.3, 0.9)), seed=int(rng.integers(1 << 30)))
+    strategy = STRATEGIES[int(rng.integers(len(STRATEGIES)))]
+    sched = schedule_for(g, strategy, int(rng.integers(n)), int(rng.integers(1, 7)))
+    p = int(rng.integers(1, 3))
+    params = AnsatzParams(p, tuple(rng.uniform(-np.pi, np.pi, p)), tuple(rng.uniform(-np.pi, np.pi, p)))
+    noise = NoiseParams(*(float(x) if rng.random() > 0.25 else 0.0 for x in rng.uniform(0, 0.2, 3)))
+    return circuit_for(g, sched, params), sched, noise
+
+
+def test_matches_density_matrix_reference():
+    # the complex density-matrix engine this one replaced, on 1000 seeded runs
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        circ, sched, noise = _random_run(rng, 7)
+        got, want = run_noisy(circ, sched, noise), run_noisy_reference(circ, sched, noise)
+        assert got.p_success == pytest.approx(want.p_success, abs=1e-12)
+        assert got.trace == pytest.approx(want.trace, abs=1e-12)
+        if not (noise.p_cx or noise.p_1q or noise.p_idle):
+            assert got.p_success == 1.0
+
+
+def test_idle_noise_matches_dense_reference():
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        circ, sched, noise = _random_run(rng, 4)
+        noise = NoiseParams(noise.p_cx, noise.p_1q, float(rng.uniform(0.01, 0.2)))
+        got, want = run_noisy(circ, sched, noise), run_noisy_dense(circ, sched, noise)
+        assert got.p_success == pytest.approx(want.p_success, abs=1e-12)
+        assert got.trace == pytest.approx(want.trace, abs=1e-12)
+
+
+def test_noisy_run_logs_one_debug_record(caplog, capsys):
+    g = Graph(2, [(0, 1)])
+    sched = schedule_traditional(g)
+    circ = CircuitIR(2, [Gate("H", (0,)), Gate("CX", (0, 1), tag=("cost", 1, (0, 1)))])
+    run_noisy(circ, sched, NoiseParams(p_cx=0.01, p_1q=0.0, p_idle=0.0))
+    assert not caplog.records and capsys.readouterr() == ("", "")
+    with caplog.at_level(logging.DEBUG, logger="treeqaoa.simulate"):
+        run_noisy(circ, sched, NoiseParams(p_cx=0.01, p_1q=0.002, p_idle=0.0))
+    (record,) = [r for r in caplog.records if r.name == "treeqaoa.simulate"]
+    assert record.levelno == logging.DEBUG
+    assert record.args[0] == 2  # the H channel and the CNOT channel
+    assert record.args[1] < 1e-12  # |1 - trace|
+    assert record.args[2] == 2 * 8 * 4 ** 2  # two 8 * 4^n-byte buffers
