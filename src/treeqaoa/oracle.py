@@ -8,19 +8,26 @@ tree-ancestor edges must differ) plus an exact edge-chromatic number of
 the leftover edges, which are constrained to run strictly after the whole
 tree phase. The global minimum over trees is the ground truth against
 which the greedy heuristic is measured.
+
+A tree is skipped uncolored when its lower bounds (``step_lower_bounds``)
+sum to at least the best total so far; each coloring looks only below what
+would beat it. The witness is the first tree, in enumeration order, of
+minimum total, with each phase's lexicographically first minimum coloring.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, canonical_edge, edges_connected
+from .graphs import Edge, Graph, canonical_edge
 from .scheduling import TREE_ORDERED, StepSchedule, schedule_tree_ordered
 from .trees import HeuristicConfig, RootedSpanningTree, _finish, build_greedy_tree
 
 MAX_ORACLE_VERTICES = 8
 DEFAULT_TREE_BUDGET = 10 ** 6
+# _BITS[mask]: the set bits of a vertex mask, ascending
+_BITS = [[v for v in range(MAX_ORACLE_VERTICES) if mask >> v & 1]
+         for mask in range(1 << MAX_ORACLE_VERTICES)]
 
 
 @dataclass
@@ -35,43 +42,44 @@ class OracleBudgetError(RuntimeError):
     """Spanning-tree enumeration exceeded its budget."""
 
 
-def _spanning_trees(g: Graph, budget: int):
-    """Yield spanning trees as edge-index tuples, with pruning.
+def _spanning_trees(edges: tuple[Edge, ...], adj: list[int], budget: int):
+    """Yield spanning trees as per-vertex neighbor bitmasks, with pruning.
 
-    A branch is abandoned as soon as the chosen edges plus all undecided
-    edges can no longer connect the graph.
+    A branch is abandoned once ``avail`` (chosen plus undecided edges) no
+    longer connects the graph, which only excluding an edge can cause.
+    The yielded list is reused until the next tree is requested.
     """
-    m = g.m
-    edges = g.edges
+    n = len(adj)
+    avail = adj.copy()
+    tree = [0] * n
+    parent = list(range(n))
     count = 0
 
-    def rec(i: int, chosen: list[int]):
+    def rec(i: int, size: int):
         nonlocal count
-        if len(chosen) == g.n - 1:
+        if size == n - 1:
             count += 1
             if count > budget:
-                raise OracleBudgetError(
-                    f"more than {budget} spanning trees; refusing to continue"
-                )
-            yield tuple(chosen)
+                raise OracleBudgetError(f"more than {budget} spanning trees; "
+                                        "refusing to continue")
+            yield tree
             return
-        if i == m:
-            return
-        candidate = [edges[j] for j in chosen] + list(edges[i:])
-        if not edges_connected(g.n, candidate):
+        if i == len(edges):
             return
         u, v = edges[i]
-        if _find(parent, u) != _find(parent, v):
-            ru, rv = _find(parent, u), _find(parent, v)
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
             parent[ru] = rv
-            chosen.append(i)
-            yield from rec(i + 1, chosen)
-            chosen.pop()
+            tree[u], tree[v] = tree[u] ^ 1 << v, tree[v] ^ 1 << u
+            yield from rec(i + 1, size + 1)
+            tree[u], tree[v] = tree[u] ^ 1 << v, tree[v] ^ 1 << u
             parent[ru] = ru
-        yield from rec(i + 1, chosen)
+        avail[u], avail[v] = avail[u] ^ 1 << v, avail[v] ^ 1 << u
+        if _reachable(avail, u, v):
+            yield from rec(i + 1, size)
+        avail[u], avail[v] = avail[u] ^ 1 << v, avail[v] ^ 1 << u
 
-    parent = list(range(g.n))
-    yield from rec(0, [])
+    yield from rec(0, 0)
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -80,71 +88,89 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _root_tree(g: Graph, tree_edge_idx: tuple[int, ...], root: int) -> RootedSpanningTree:
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for i in tree_edge_idx:
-        u, v = g.edges[i]
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: list[int | None] = [None] * g.n
-    level = [0] * g.n
+def _reachable(adj: list[int], u: int, v: int) -> bool:
+    """Bitmask flood fill from u: is v in u's component?"""
+    seen = frontier = 1 << u
+    while frontier and not seen >> v & 1:
+        reached = 0
+        for x in _BITS[frontier]:
+            reached |= adj[x]
+        frontier = reached & ~seen
+        seen |= frontier
+    return bool(seen >> v & 1)
+
+
+def _root(tree: list[int], root: int):
+    """BFS of a tree's neighbor bitmasks, lowest first: parent, level, order."""
+    parent: list[int | None] = [None] * len(tree)
+    level = [0] * len(tree)
     order: list[tuple[int, int]] = []
-    seen = [False] * g.n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                level[v] = level[u] + 1
-                order.append((u, v))
-                queue.append(v)
-    return _finish(g, root, parent, level, order)
+    queue, seen = [root], 1 << root
+    for u in queue:
+        kids = tree[u] & ~seen
+        seen |= kids
+        for v in _BITS[kids]:
+            parent[v] = u
+            level[v] = level[u] + 1
+            order.append((u, v))
+            queue.append(v)
+    return parent, level, order
 
 
-def _min_coloring(order: list[tuple[int, int]], parent_edge: list[int],
-                  n: int) -> tuple[int, list[int]]:
+def step_lower_bounds(adj: list[int], tree: list[int], level: list[int],
+                      root: int) -> tuple[int, int]:
+    """(tree-phase, leftover-phase) lower bounds on a tree's step counts.
+
+    adj and tree are neighbor bitmasks of the graph and a spanning tree,
+    level its levels from root. The edges on v's root path and v's child
+    edges pairwise conflict, so the tree phase needs max_v(level(v) +
+    children(v)) steps; the leftover phase needs its maximum degree.
+    """
+    lb_tree = max(level[v] + t.bit_count() - (v != root) for v, t in enumerate(tree))
+    lb_rest = max((a & ~t).bit_count() for a, t in zip(adj, tree))
+    return lb_tree, lb_rest
+
+
+def _min_coloring(order: list[tuple[int, int]], n: int, ancestors: bool,
+                  lb: int, cap: int) -> tuple[int, list[int] | None]:
     """Exact minimum-max-color assignment by branch and bound.
 
-    order lists (u, v) pairs with u the already-connected endpoint;
-    parent_edge[j] is the index of the edge feeding order[j]'s u endpoint
-    (-1 at the root). Pass parent_edge = [-1]*m to drop the ancestor
-    constraint and get a plain edge coloring.
+    order lists (u, v) pairs. With ``ancestors`` it is a tree's BFS order,
+    u the parent, and each edge must also differ from every edge on u's
+    root path. Colors ascend depth-first, so the first coloring found at
+    the minimum maximum is the lexicographically first. Only maxima below
+    ``cap`` are searched (colors None if there is none), and the search
+    stops at a coloring whose maximum reaches ``lb``, a lower bound.
     """
     m = len(order)
-    if m == 0:
-        return 0, []
-    best = m
-    best_colors = list(range(1, m + 1))
+    best, best_colors = (m, list(range(1, m + 1))) if cap > m else (cap, None)
     colors = [0] * m
-    used: list[set[int]] = [set() for _ in range(n)]
+    used = [0] * n  # color bits of the edges colored at each vertex
+    path = [0] * n  # color bits of the edges on each vertex's root path
 
     def bt(j: int, current_max: int) -> None:
         nonlocal best, best_colors
         if current_max >= best:
             return
         if j == m:
-            best = current_max
-            best_colors = colors.copy()
+            best, best_colors = current_max, colors.copy()
             return
         u, v = order[j]
-        banned = set(used[u]) | used[v]
-        k = parent_edge[j]
-        while k >= 0:
-            banned.add(colors[k])
-            k = parent_edge[k]
+        banned = used[u] | used[v] | path[u]
         for c in range(1, min(best - 1, current_max + 1) + 1):
-            if c in banned:
+            bit = 1 << c
+            if banned & bit:
                 continue
             colors[j] = c
-            used[u].add(c)
-            used[v].add(c)
+            used[u] |= bit
+            used[v] |= bit
+            if ancestors:
+                path[v] = path[u] | bit
             bt(j + 1, max(current_max, c))
-            used[u].remove(c)
-            used[v].remove(c)
-        colors[j] = 0
+            used[u] ^= bit
+            used[v] ^= bit
+            if best <= lb:
+                return
 
     bt(0, 0)
     return best, best_colors
@@ -158,46 +184,30 @@ def solve_exact(g: Graph, root: int,
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
 
-    best_total: int | None = None
+    adj = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
+    best_total = g.m + 1  # above every tree's total, so the first tree wins
     best: tuple[RootedSpanningTree, dict[Edge, int]] | None = None
-    trees_seen = 0
-    for tree_idx in _spanning_trees(g, tree_budget):
-        trees_seen += 1
-        t = _root_tree(g, tree_idx, root)
-        t_order = list(t.discovery_order)
-        child_edge = {v: j for j, (_u, v) in enumerate(t_order)}
-        parent_edge = [child_edge.get(u, -1) for u, _v in t_order]
-        tree_min, tree_colors = _min_coloring(t_order, parent_edge, g.n)
+    for trees_seen, tree in enumerate(_spanning_trees(g.edges, adj, tree_budget), 1):
+        parent, level, order = _root(tree, root)
+        lb_tree, lb_rest = step_lower_bounds(adj, tree, level, root)
+        if lb_tree + lb_rest >= best_total:
+            continue
+        tree_min, tree_colors = _min_coloring(order, g.n, True, lb_tree, best_total - lb_rest)
+        if tree_colors is None:
+            continue
+        rest = [(u, v) for u, v in g.edges if not tree[u] >> v & 1]
+        rest_min, rest_colors = _min_coloring(rest, g.n, False, lb_rest, best_total - tree_min)
+        if rest_colors is not None:
+            step_of = {canonical_edge(u, v): c for (u, v), c in zip(order, tree_colors)}
+            step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
+            best_total = tree_min + rest_min
+            best = (_finish(g, root, parent, level, order), step_of)
 
-        tree_set = t.edge_set()
-        rest = [e for e in g.edges if e not in tree_set]
-        rest_min, rest_colors = _min_coloring(rest, [-1] * len(rest), g.n)
-
-        total = tree_min + rest_min
-        if best_total is None or total < best_total:
-            step_of = {
-                canonical_edge(u, v): tree_colors[j]
-                for j, (u, v) in enumerate(t_order)
-            }
-            for j, e in enumerate(rest):
-                step_of[e] = tree_min + rest_colors[j]
-            best_total = total
-            best = (t, step_of)
-
-    assert best is not None and best_total is not None
+    assert best is not None
     t, step_of = best
-    witness = StepSchedule(
-        strategy=TREE_ORDERED,
-        tree=t,
-        step_of=step_of,
-        num_steps=best_total,
-    )
-    return OracleResult(
-        best_steps=best_total,
-        witness_tree=t,
-        witness_schedule=witness,
-        trees_enumerated=trees_seen,
-    )
+    witness = StepSchedule(strategy=TREE_ORDERED, tree=t, step_of=step_of, num_steps=best_total)
+    return OracleResult(best_steps=best_total, witness_tree=t, witness_schedule=witness,
+                        trees_enumerated=trees_seen)
 
 
 def heuristic_gap(g: Graph, root: int, cfg: HeuristicConfig) -> tuple[int, int]:

@@ -12,6 +12,8 @@ from treeqaoa.oracle import (
 from treeqaoa.scheduling import schedule_tree_ordered, verify_schedule
 from treeqaoa.trees import HeuristicConfig, build_greedy_tree
 
+from helpers import solve_exact_reference
+
 
 def star(k):
     return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
@@ -105,3 +107,27 @@ def test_complete_graph_tree_count():
     # Cayley: K_n has n^(n-2) spanning trees
     assert solve_exact(generate_complete(4), 0).trees_enumerated == 16
     assert solve_exact(generate_complete(5), 1).trees_enumerated == 125
+    k7 = solve_exact(generate_complete(7), 0)
+    assert k7.trees_enumerated == 16807
+    assert k7.best_steps == 8
+
+
+def test_matches_reference_oracle():
+    # seeded ER sweep: n 2..6 from every root at p 0.3/0.5/0.7, and n = 7
+    # from one seeded root at p 0.3/0.5; every result, witness tree and
+    # witness step map must equal the unbounded reference search's
+    rng = np.random.default_rng(2026)
+    sweep = [(n, p) for n in range(2, 7) for p in (0.3, 0.5, 0.7)] + [(7, 0.3), (7, 0.5)]
+    graphs = 0
+    for n, p in sweep:
+        for _ in range(60):
+            g = generate_erdos_renyi(n, p, seed=int(rng.integers(10 ** 6)))
+            graphs += 1
+            for root in range(n) if n < 7 else [int(rng.integers(n))]:
+                fast, slow = solve_exact(g, root), solve_exact_reference(g, root)
+                assert fast.best_steps == slow.best_steps
+                assert fast.trees_enumerated == slow.trees_enumerated
+                assert fast.witness_tree == slow.witness_tree
+                assert fast.witness_schedule.step_of == slow.witness_schedule.step_of
+                assert verify_schedule(g, fast.witness_schedule) == []
+    assert graphs >= 1000

@@ -6,22 +6,25 @@ from hypothesis import strategies as st
 from treeqaoa.bench import STRATEGIES, TREE_STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams
 from treeqaoa.graphs import Graph, read_edge_list, write_edge_list
-from treeqaoa.oracle import heuristic_gap
+from treeqaoa.oracle import heuristic_gap, step_lower_bounds
 from treeqaoa.scheduling import verify_schedule
 from treeqaoa.trees import HeuristicConfig
+
+from helpers import _min_coloring, _root_tree, _spanning_trees
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def graphs(draw, max_n=12):
+def graphs(draw, max_n=12, max_extra=None):
     """A connected graph: a random spanning tree (every vertex but the
-    first joins an earlier one) plus random extra pairs, relabelled by a
-    random permutation."""
+    first joins an earlier one) plus random extra pairs (up to 2n, or
+    max_extra), relabelled by a random permutation."""
     n = draw(st.integers(2, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    extra = 2 * n if max_extra is None else max_extra
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=extra)))
     perm = draw(st.permutations(range(n)))
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
@@ -68,3 +71,27 @@ def test_heuristic_never_beats_the_oracle(g, data):
     B = data.draw(st.integers(1, 6))
     steps, exact = heuristic_gap(g, root, HeuristicConfig(B=B))
     assert steps >= exact
+
+
+@SETTINGS
+@given(graphs(max_n=7, max_extra=8), st.data())
+def test_step_lower_bounds_are_sound(g, data):
+    """Over every spanning tree: the tree-phase bound is at most the exact
+    tree coloring, and the exact leftover coloring lies between the
+    leftover bound and one more (Vizing)."""
+    root = data.draw(st.integers(0, g.n - 1))
+    adj = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
+    for tree_idx in _spanning_trees(g, 10 ** 6):
+        t = _root_tree(g, tree_idx, root)
+        masks = [0] * g.n
+        for u, v in t.discovery_order:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        lb_tree, lb_rest = step_lower_bounds(adj, masks, list(t.level), root)
+        order = list(t.discovery_order)
+        child_edge = {v: j for j, (_u, v) in enumerate(order)}
+        tree_min, _ = _min_coloring(order, [child_edge.get(u, -1) for u, _v in order], g.n)
+        rest = [e for e in g.edges if e not in t.edge_set()]
+        rest_min, _ = _min_coloring(rest, [-1] * len(rest), g.n)
+        assert lb_tree <= tree_min
+        assert lb_rest <= rest_min <= lb_rest + 1
