@@ -32,7 +32,6 @@ TREE_STRATEGIES = STRATEGIES[1:]
 # the paper's three strategies, swept by default
 SWEEP_STRATEGIES = ("traditional", "dfs", "greedy")
 
-CSV_SCHEMA_VERSION = 1
 DEPTH_COLUMNS = (
     "family", "p_edge", "n", "B", "strategy",
     "mean_steps", "mean_tree_steps", "mean_gate_depth", "mean_cnots",

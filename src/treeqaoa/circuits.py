@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, canonical_edge
-from .scheduling import TRADITIONAL, TREE_ORDERED, StepSchedule, verify_schedule
+from .scheduling import StepSchedule, verify_schedule
 from .trees import RootedSpanningTree
 
 # provenance tags
@@ -130,8 +130,8 @@ def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule,
 
 def build_traditional(g: Graph, params: AnsatzParams, sched: StepSchedule) -> CircuitIR:
     """Full three-gate block for every edge, in schedule-step order."""
-    if sched.strategy != TRADITIONAL:
-        raise ValueError(f"expected a traditional schedule, got {sched.strategy!r}")
+    if sched.tree is not None:
+        raise ValueError("expected a traditional schedule, got a tree-ordered one")
     return _ansatz(g, params, sched, {})
 
 
@@ -143,8 +143,8 @@ def build_optimized(g: Graph, params: AnsatzParams, t: RootedSpanningTree,
     schedule must be tree-ordered over t and pass verification, since the
     reduction is only sound under that edge ordering.
     """
-    if sched.strategy != TREE_ORDERED or sched.tree is not t:
-        raise ValueError("schedule is not a tree_ordered schedule over this tree")
+    if sched.tree is not t:
+        raise ValueError("schedule is not a tree-ordered schedule over this tree")
     violations = verify_schedule(g, sched)
     if violations:
         raise ValueError(f"schedule fails verification: {violations[0]}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .oracle import OracleBudgetError, heuristic_gap, solve_exact
+from .oracle import heuristic_gap, solve_exact
 from .scheduling import schedule_to_text
 from .simulate import NoiseParams, run_noisy
 from .trees import HeuristicConfig, tree_to_text
@@ -187,6 +188,11 @@ def _add_angle_args(p: argparse.ArgumentParser) -> None:
                    help="seed for random angles when --gamma/--beta absent")
 
 
+def _add_noise_arg(p: argparse.ArgumentParser) -> None:
+    default = ",".join(str(x) for x in astuple(NoiseParams()))  # parsed by the command
+    p.add_argument("--noise", default=default, help="p_cx,p_1q,p_idle")
+
+
 def _add_sweep_args(p: argparse.ArgumentParser, trials: int) -> None:
     p.add_argument("--family", choices=("erdos-renyi", "complete", "cycle"),
                    required=True)
@@ -240,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     _add_strategy_args(p, STRATEGIES)
     _add_angle_args(p)
-    p.add_argument("--noise", default="0.01,0.001,0.002",
-                   help="p_cx,p_1q,p_idle")
+    _add_noise_arg(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
@@ -251,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-success", help="success-probability sweep to CSV")
     _add_sweep_args(p, trials=10)
-    p.add_argument("--noise", default="0.01,0.001,0.002",
-                   help="p_cx,p_1q,p_idle")
+    _add_noise_arg(p)
     p.set_defaults(func=_cmd_bench_success)
 
     p = sub.add_parser("oracle", help="exact minimum steps on a tiny graph")
@@ -270,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (GraphError, ValueError, OracleBudgetError, OSError) as exc:
+    except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

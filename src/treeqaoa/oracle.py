@@ -1,10 +1,11 @@
 """Exhaustive minimum-step search on tiny graphs.
 
 For a fixed root, every spanning tree is enumerated (recursive edge
-include/exclude with connectivity pruning). For each tree, the minimum
-number of steps decomposes into two independent parts: an exact
-branch-and-bound coloring of the tree edges (incident edges and
-tree-ancestor edges must differ) plus an exact edge-chromatic number of
+include/exclude with connectivity pruning); the only bound on the search
+is n <= MAX_ORACLE_VERTICES = 8, which caps it at K8's 8^6 = 262,144 trees.
+For each tree, the minimum number of steps decomposes into two independent
+parts: an exact branch-and-bound coloring of the tree edges (incident edges
+and tree-ancestor edges must differ) plus an exact edge-chromatic number of
 the leftover edges, which are constrained to run strictly after the whole
 tree phase. The global minimum over trees is the ground truth against
 which the greedy heuristic is measured.
@@ -20,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, canonical_edge
-from .scheduling import TREE_ORDERED, StepSchedule, schedule_tree_ordered
-from .trees import HeuristicConfig, RootedSpanningTree, _finish, build_greedy_tree
+from .scheduling import StepSchedule, schedule_tree_ordered
+from .trees import HeuristicConfig, RootedSpanningTree, build_greedy_tree
 
 MAX_ORACLE_VERTICES = 8
-DEFAULT_TREE_BUDGET = 10 ** 6
 # _BITS[mask]: the set bits of a vertex mask, ascending
 _BITS = [[v for v in range(MAX_ORACLE_VERTICES) if mask >> v & 1]
          for mask in range(1 << MAX_ORACLE_VERTICES)]
@@ -33,16 +33,11 @@ _BITS = [[v for v in range(MAX_ORACLE_VERTICES) if mask >> v & 1]
 @dataclass
 class OracleResult:
     best_steps: int
-    witness_tree: RootedSpanningTree
     witness_schedule: StepSchedule
     trees_enumerated: int
 
 
-class OracleBudgetError(RuntimeError):
-    """Spanning-tree enumeration exceeded its budget."""
-
-
-def _spanning_trees(edges: tuple[Edge, ...], adj: list[int], budget: int):
+def _spanning_trees(edges: tuple[Edge, ...], adj: list[int]):
     """Yield spanning trees as per-vertex neighbor bitmasks, with pruning.
 
     A branch is abandoned once ``avail`` (chosen plus undecided edges) no
@@ -53,15 +48,9 @@ def _spanning_trees(edges: tuple[Edge, ...], adj: list[int], budget: int):
     avail = adj.copy()
     tree = [0] * n
     parent = list(range(n))
-    count = 0
 
     def rec(i: int, size: int):
-        nonlocal count
         if size == n - 1:
-            count += 1
-            if count > budget:
-                raise OracleBudgetError(f"more than {budget} spanning trees; "
-                                        "refusing to continue")
             yield tree
             return
         if i == len(edges):
@@ -101,8 +90,7 @@ def _reachable(adj: list[int], u: int, v: int) -> bool:
 
 
 def _root(tree: list[int], root: int):
-    """BFS of a tree's neighbor bitmasks, lowest first: parent, level, order."""
-    parent: list[int | None] = [None] * len(tree)
+    """BFS of a tree's neighbor bitmasks, lowest first: level, order."""
     level = [0] * len(tree)
     order: list[tuple[int, int]] = []
     queue, seen = [root], 1 << root
@@ -110,11 +98,10 @@ def _root(tree: list[int], root: int):
         kids = tree[u] & ~seen
         seen |= kids
         for v in _BITS[kids]:
-            parent[v] = u
             level[v] = level[u] + 1
             order.append((u, v))
             queue.append(v)
-    return parent, level, order
+    return level, order
 
 
 def step_lower_bounds(adj: list[int], tree: list[int], level: list[int],
@@ -176,8 +163,7 @@ def _min_coloring(order: list[tuple[int, int]], n: int, ancestors: bool,
     return best, best_colors
 
 
-def solve_exact(g: Graph, root: int,
-                tree_budget: int = DEFAULT_TREE_BUDGET) -> OracleResult:
+def solve_exact(g: Graph, root: int) -> OracleResult:
     """Global minimum steps over all spanning trees rooted at ``root``."""
     if g.n > MAX_ORACLE_VERTICES:
         raise ValueError(f"oracle limited to n <= {MAX_ORACLE_VERTICES}, got {g.n}")
@@ -186,9 +172,9 @@ def solve_exact(g: Graph, root: int,
 
     adj = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
     best_total = g.m + 1  # above every tree's total, so the first tree wins
-    best: tuple[RootedSpanningTree, dict[Edge, int]] | None = None
-    for trees_seen, tree in enumerate(_spanning_trees(g.edges, adj, tree_budget), 1):
-        parent, level, order = _root(tree, root)
+    best: StepSchedule | None = None
+    for trees_seen, tree in enumerate(_spanning_trees(g.edges, adj), 1):
+        level, order = _root(tree, root)
         lb_tree, lb_rest = step_lower_bounds(adj, tree, level, root)
         if lb_tree + lb_rest >= best_total:
             continue
@@ -201,12 +187,10 @@ def solve_exact(g: Graph, root: int,
             step_of = {canonical_edge(u, v): c for (u, v), c in zip(order, tree_colors)}
             step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
             best_total = tree_min + rest_min
-            best = (_finish(g, root, parent, level, order), step_of)
+            best = StepSchedule(RootedSpanningTree(root, tuple(order)), step_of)
 
     assert best is not None
-    t, step_of = best
-    witness = StepSchedule(strategy=TREE_ORDERED, tree=t, step_of=step_of, num_steps=best_total)
-    return OracleResult(best_steps=best_total, witness_tree=t, witness_schedule=witness,
+    return OracleResult(best_steps=best_total, witness_schedule=best,
                         trees_enumerated=trees_seen)
 
 

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 from .graphs import Edge, Graph, canonical_edge
 from .trees import RootedSpanningTree
 
-TRADITIONAL = "traditional"
-TREE_ORDERED = "tree_ordered"
-
 
 @dataclass
 class StepSchedule:
-    """Edge -> step map (1-based). num_steps is the max assigned step."""
+    """Edge -> step map (1-based). The schedule is tree-ordered over tree,
+    or traditional exactly when tree is None."""
 
-    strategy: str
     tree: RootedSpanningTree | None
     step_of: dict[Edge, int]
-    num_steps: int
+
+    @property
+    def num_steps(self) -> int:
+        """The last step in use."""
+        return max(self.step_of.values())
 
     @property
     def delayed_start_total(self) -> int:
@@ -69,13 +70,7 @@ def _greedy_color(edges: list[Edge], used: list[int], floor: int) -> dict[Edge, 
 
 def schedule_traditional(g: Graph) -> StepSchedule:
     """Greedy edge coloring in canonical edge order."""
-    step_of = _greedy_color(list(g.edges), [0] * g.n, floor=0)
-    return StepSchedule(
-        strategy=TRADITIONAL,
-        tree=None,
-        step_of=step_of,
-        num_steps=max(step_of.values()),
-    )
+    return StepSchedule(None, _greedy_color(list(g.edges), [0] * g.n, floor=0))
 
 
 def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
@@ -98,13 +93,7 @@ def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
 
     rest = [e for e in g.edges if e not in tree_edges]
     step_of.update(_greedy_color(rest, used, floor=max(step_of.values())))
-
-    return StepSchedule(
-        strategy=TREE_ORDERED,
-        tree=t,
-        step_of=step_of,
-        num_steps=max(step_of.values()),
-    )
+    return StepSchedule(t, step_of)
 
 
 def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
@@ -138,11 +127,8 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
                 else:
                     owner[vtx] = e
 
-    if sched.strategy == TREE_ORDERED:
-        t = sched.tree
-        if t is None:
-            violations.append("tree_ordered schedule is missing its tree")
-            return violations
+    t = sched.tree
+    if t is not None:
         tree_edges = t.edge_set()
         if not tree_edges <= set(sched.step_of):
             violations.append("tree edge missing from schedule")
@@ -161,7 +147,7 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
                         f"of its ancestor {anc}"
                     )
                 node = p
-        max_tree_step = max(sched.step_of[e] for e in tree_edges)
+        max_tree_step = sched.tree_steps()
         for e in scheduled:
             if e not in tree_edges and sched.step_of[e] <= max_tree_step:
                 violations.append(

@@ -78,7 +78,6 @@ class SimResult:
     trace of the final state (1 up to float drift)."""
 
     p_success: float
-    ideal_state: StateVector
     trace: float
 
 
@@ -239,7 +238,7 @@ def run_noisy(c: CircuitIR, sched: StepSchedule, noise: NoiseParams) -> SimResul
     for (u, v), s in sched.step_of.items():
         idle[s] -= {u, v}
 
-    ideal = run_ideal(c)
+    psi = run_ideal(c).amplitudes
     # |0...0><0...0| = prod_q (I + Z_q) / 2: coefficient 1 on every string of I and Z
     r = np.zeros((4,) * n)
     r[np.ix_(*[[0, 3]] * n)] = 1.0
@@ -263,7 +262,6 @@ def run_noisy(c: CircuitIR, sched: StepSchedule, noise: NoiseParams) -> SimResul
         channels += p > 0.0
     idle_flush(current)
 
-    psi = ideal.amplitudes
     ref = float(np.real(np.vdot(psi, psi)))
     if channels == 0:  # the state is psi itself, which scores exactly 1
         p_success, trace = 1.0, ref
@@ -272,4 +270,4 @@ def run_noisy(c: CircuitIR, sched: StepSchedule, noise: NoiseParams) -> SimResul
         p_success = _overlap(r, psi, spare) / 2 ** n / (ref * trace)
     logger.debug("noisy run: %d channels, |1 - trace| = %.3g, %d state bytes",
                  channels, abs(1 - trace), 2 * r.nbytes)
-    return SimResult(p_success=p_success, ideal_state=ideal, trace=trace)
+    return SimResult(p_success=p_success, trace=trace)

@@ -15,8 +15,8 @@ level factor steers branching toward vertices near the root.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Edge, Graph, canonical_edge
 
@@ -25,22 +25,41 @@ from .graphs import Edge, Graph, canonical_edge
 class RootedSpanningTree:
     """Spanning tree of a graph, rooted and levelled.
 
-    parent[v] is None exactly for the root; level[root] = 0 and
-    level[child] = level[parent] + 1; branch_count[v] is the number of
-    children of v (which equals the branching-factor statistic: tree degree
-    for the root, tree degree minus one otherwise). discovery_order lists
-    the n-1 (parent, child) edges in the order the builder added them.
+    discovery_order lists the n-1 (parent, child) edges in the order the
+    builder added them, each parent the root or an earlier child. The views
+    derive from it: parent[v] is None exactly for the root; level[root] = 0
+    and level[child] = level[parent] + 1; branch_count[v] is the number of
+    children of v (the branching-factor statistic: tree degree for the
+    root, tree degree minus one otherwise).
     """
 
     root: int
-    parent: tuple[int | None, ...]
-    level: tuple[int, ...]
-    branch_count: tuple[int, ...]
     discovery_order: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
-        return len(self.parent)
+        return len(self.discovery_order) + 1
+
+    @cached_property
+    def parent(self) -> tuple[int | None, ...]:
+        parent: list[int | None] = [None] * self.n
+        for p, c in self.discovery_order:
+            parent[c] = p
+        return tuple(parent)
+
+    @cached_property
+    def level(self) -> tuple[int, ...]:
+        level = [0] * self.n
+        for p, c in self.discovery_order:
+            level[c] = level[p] + 1
+        return tuple(level)
+
+    @cached_property
+    def branch_count(self) -> tuple[int, ...]:
+        branch = [0] * self.n
+        for p, _c in self.discovery_order:
+            branch[p] += 1
+        return tuple(branch)
 
     @property
     def height(self) -> int:
@@ -78,25 +97,9 @@ def _check_root(g: Graph, root: int) -> None:
         raise ValueError(f"root {root} out of range for n={g.n}")
 
 
-def _finish(g: Graph, root: int, parent: list[int | None], level: list[int],
-            order: list[tuple[int, int]]) -> RootedSpanningTree:
-    branch = [0] * g.n
-    for p, _c in order:
-        branch[p] += 1
-    return RootedSpanningTree(
-        root=root,
-        parent=tuple(parent),
-        level=tuple(level),
-        branch_count=tuple(branch),
-        discovery_order=tuple(order),
-    )
-
-
 def build_dfs_tree(g: Graph, root: int) -> RootedSpanningTree:
     """Depth-first spanning tree; iterative, ascending neighbor order."""
     _check_root(g, root)
-    parent: list[int | None] = [None] * g.n
-    level = [0] * g.n
     order: list[tuple[int, int]] = []
     visited = [False] * g.n
     visited[root] = True
@@ -106,36 +109,29 @@ def build_dfs_tree(g: Graph, root: int) -> RootedSpanningTree:
         for v in it:
             if not visited[v]:
                 visited[v] = True
-                parent[v] = u
-                level[v] = level[u] + 1
                 order.append((u, v))
                 stack.append((v, iter(g.adjacency[v])))
                 break
         else:
             stack.pop()
-    return _finish(g, root, parent, level, order)
+    return RootedSpanningTree(root, tuple(order))
 
 
 def build_bfs_tree(g: Graph, root: int) -> RootedSpanningTree:
     """Breadth-first spanning tree; among all spanning trees rooted at
     ``root`` it has minimum height."""
     _check_root(g, root)
-    parent: list[int | None] = [None] * g.n
-    level = [0] * g.n
     order: list[tuple[int, int]] = []
     visited = [False] * g.n
     visited[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    queue = [root]
+    for u in queue:
         for v in g.adjacency[u]:
             if not visited[v]:
                 visited[v] = True
-                parent[v] = u
-                level[v] = level[u] + 1
                 order.append((u, v))
                 queue.append(v)
-    return _finish(g, root, parent, level, order)
+    return RootedSpanningTree(root, tuple(order))
 
 
 def build_greedy_tree(g: Graph, root: int, cfg: HeuristicConfig) -> RootedSpanningTree:
@@ -152,7 +148,6 @@ def build_greedy_tree(g: Graph, root: int, cfg: HeuristicConfig) -> RootedSpanni
     """
     _check_root(g, root)
     n, B, adj = g.n, cfg.B, g.adjacency
-    parent: list[int | None] = [None] * n
     level = [0] * n
     bf = [0] * n
     bf[root] = 1  # root's counter starts at its "discovered" state
@@ -177,13 +172,12 @@ def build_greedy_tree(g: Graph, root: int, cfg: HeuristicConfig) -> RootedSpanni
         x = best if best >= 0 else live[0]
         y = adj[x][nxt[x]]
         visited[y] = True
-        parent[y] = x
         level[y] = level[x] + 1
         bf[x] += 1
         order.append((x, y))
         live.append(y)
         frontier = live
-    return _finish(g, root, parent, level, order)
+    return RootedSpanningTree(root, tuple(order))
 
 
 def tree_to_text(t: RootedSpanningTree) -> str:

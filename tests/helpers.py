@@ -12,12 +12,10 @@ import numpy as np
 
 from treeqaoa.circuits import COST, INIT, MIXER
 from treeqaoa.graphs import Edge, Graph, canonical_edge, edges_connected
-from treeqaoa.oracle import (
-    DEFAULT_TREE_BUDGET, MAX_ORACLE_VERTICES, OracleBudgetError, OracleResult,
-)
-from treeqaoa.scheduling import TREE_ORDERED, StepSchedule
+from treeqaoa.oracle import MAX_ORACLE_VERTICES, OracleResult
+from treeqaoa.scheduling import StepSchedule
 from treeqaoa.simulate import SimResult, run_ideal
-from treeqaoa.trees import RootedSpanningTree, _finish
+from treeqaoa.trees import RootedSpanningTree
 
 # a header that declares 10^9 vertices but one edge; only safe to parse
 # because the graph constructor rejects it before any per-vertex allocation
@@ -158,7 +156,7 @@ def _score(c, rho):
     psi = ideal.amplitudes
     ref = float(np.real(np.vdot(psi, psi)))
     tr = float(np.real(np.trace(rho)))
-    return SimResult(float(np.real(psi.conj() @ rho @ psi)) / (ref * tr), ideal, tr)
+    return SimResult(float(np.real(psi.conj() @ rho @ psi)) / (ref * tr), tr)
 
 
 def run_noisy_reference(c, sched, noise):
@@ -181,7 +179,7 @@ def run_noisy_reference(c, sched, noise):
         ideal = run_ideal(c)
         psi, mine = ideal.amplitudes, t.reshape(-1)
         ref, tr = float(np.real(np.vdot(psi, psi))), float(np.real(np.vdot(mine, mine)))
-        return SimResult(float(abs(np.vdot(psi, mine)) ** 2) / (ref * tr), ideal, tr)
+        return SimResult(float(abs(np.vdot(psi, mine)) ** 2) / (ref * tr), tr)
     return _score(c, t.reshape(2 ** n, 2 ** n))
 
 
@@ -249,21 +247,10 @@ def depolarize_oracle(rho, n, qubits, p):
 
 def tree_from_edges(n, root, parent_child_edges):
     """Build a RootedSpanningTree from explicit (parent, child) pairs
-    listed in discovery order."""
-    parent = [None] * n
-    level = [0] * n
-    branch = [0] * n
-    for p, c in parent_child_edges:
-        parent[c] = p
-        level[c] = level[p] + 1
-        branch[p] += 1
-    return RootedSpanningTree(
-        root=root,
-        parent=tuple(parent),
-        level=tuple(level),
-        branch_count=tuple(branch),
-        discovery_order=tuple(parent_child_edges),
-    )
+    listed in discovery order; n must be the tree's vertex count."""
+    t = RootedSpanningTree(root, tuple(parent_child_edges))
+    assert t.n == n
+    return t
 
 
 @contextlib.contextmanager
@@ -352,7 +339,7 @@ def ansatz_reference(g, params, step_of, t=None):
     return gates
 
 
-def _spanning_trees(g: Graph, budget: int):
+def _spanning_trees(g: Graph):
     """Yield spanning trees as edge-index tuples, with pruning.
 
     A branch is abandoned as soon as the chosen edges plus all undecided
@@ -360,16 +347,9 @@ def _spanning_trees(g: Graph, budget: int):
     """
     m = g.m
     edges = g.edges
-    count = 0
 
     def rec(i: int, chosen: list[int]):
-        nonlocal count
         if len(chosen) == g.n - 1:
-            count += 1
-            if count > budget:
-                raise OracleBudgetError(
-                    f"more than {budget} spanning trees; refusing to continue"
-                )
             yield tuple(chosen)
             return
         if i == m:
@@ -403,8 +383,6 @@ def _root_tree(g: Graph, tree_edge_idx: tuple[int, ...], root: int) -> RootedSpa
         u, v = g.edges[i]
         adj[u].append(v)
         adj[v].append(u)
-    parent: list[int | None] = [None] * g.n
-    level = [0] * g.n
     order: list[tuple[int, int]] = []
     seen = [False] * g.n
     seen[root] = True
@@ -414,11 +392,9 @@ def _root_tree(g: Graph, tree_edge_idx: tuple[int, ...], root: int) -> RootedSpa
         for v in sorted(adj[u]):
             if not seen[v]:
                 seen[v] = True
-                parent[v] = u
-                level[v] = level[u] + 1
                 order.append((u, v))
                 queue.append(v)
-    return _finish(g, root, parent, level, order)
+    return RootedSpanningTree(root, tuple(order))
 
 
 def _min_coloring(order: list[tuple[int, int]], parent_edge: list[int],
@@ -467,8 +443,7 @@ def _min_coloring(order: list[tuple[int, int]], parent_edge: list[int],
     return best, best_colors
 
 
-def solve_exact_reference(g: Graph, root: int,
-                          tree_budget: int = DEFAULT_TREE_BUDGET) -> OracleResult:
+def solve_exact_reference(g: Graph, root: int) -> OracleResult:
     """Global minimum steps over all spanning trees rooted at ``root``:
     the oracle as it was before its trees were bounded before coloring.
     Every tree is rooted and both of its phases colored in full."""
@@ -480,7 +455,7 @@ def solve_exact_reference(g: Graph, root: int,
     best_total: int | None = None
     best: tuple[RootedSpanningTree, dict[Edge, int]] | None = None
     trees_seen = 0
-    for tree_idx in _spanning_trees(g, tree_budget):
+    for tree_idx in _spanning_trees(g):
         trees_seen += 1
         t = _root_tree(g, tree_idx, root)
         t_order = list(t.discovery_order)
@@ -504,16 +479,8 @@ def solve_exact_reference(g: Graph, root: int,
             best = (t, step_of)
 
     assert best is not None and best_total is not None
-    t, step_of = best
-    witness = StepSchedule(
-        strategy=TREE_ORDERED,
-        tree=t,
-        step_of=step_of,
-        num_steps=best_total,
-    )
     return OracleResult(
         best_steps=best_total,
-        witness_tree=t,
-        witness_schedule=witness,
+        witness_schedule=StepSchedule(*best),
         trees_enumerated=trees_seen,
     )

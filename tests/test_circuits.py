@@ -6,7 +6,7 @@ from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional
 from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
-from treeqaoa.trees import HeuristicConfig, build_dfs_tree, build_greedy_tree
+from treeqaoa.trees import HeuristicConfig, build_bfs_tree, build_dfs_tree, build_greedy_tree
 
 from helpers import ansatz_reference, schedule_reference
 
@@ -133,10 +133,15 @@ def test_builder_validation():
         build_traditional(g, params_for(1), tree_sched)
     with pytest.raises(ValueError):
         build_optimized(g, params_for(1), t, trad_sched)
+    # a tree-ordered schedule over a different tree of the same graph
+    bfs_sched = schedule_tree_ordered(g, build_bfs_tree(g, 0))
+    assert bfs_sched.tree.edge_set() != t.edge_set()
+    with pytest.raises(ValueError):
+        build_optimized(g, params_for(1), t, bfs_sched)
     # corrupt the schedule: child edge reuses its parent's step
     bad = dict(tree_sched.step_of)
     bad[(1, 2)] = bad[(0, 1)]
-    broken = StepSchedule("tree_ordered", t, bad, max(bad.values()))
+    broken = StepSchedule(t, bad)
     with pytest.raises(ValueError, match="verification"):
         build_optimized(g, params_for(1), t, broken)
     # schedule over a different graph

@@ -154,6 +154,16 @@ def test_validation_failures_exit_nonzero(tmp_path, capsys):
         main(["gen"])  # missing required flags
 
 
+def test_bad_noise_exits_nonzero(graph_file, capsys):
+    # the --noise default is text, parsed by the command like a given value
+    for argv in (["simulate", graph_file],
+                 ["bench-success", "--family", "cycle", "--n", "4", "--trials", "1"]):
+        assert main(argv + ["--noise", "0.01,0.001"]) == 1
+        assert "error: --noise expects" in capsys.readouterr().err
+        assert main(argv + ["--noise", "0.01,0.001,1.5"]) == 1
+        assert "error: p_idle" in capsys.readouterr().err
+
+
 def test_huge_header_exits_nonzero(tmp_path, capsys):
     hostile = tmp_path / "hostile.txt"
     hostile.write_text(HOSTILE_HEADER)
@@ -204,11 +214,24 @@ GOLDEN = {
     "simulate-greedy": "62ff2bbd915fd72a1abb42c1fb59ccddbed987c898cf1e65729d9c85c44f3d6c",
     "bench-depth": "8c5a7dba79dd06916d8941f0a2c1fc47c4de38a394ebc15dfef074053004bf77",
     "bench-success": "ffec6894c77817ad2927b1a4dc08338ad28cbd8e4be8871d80f3c4cacbacfcb6",
+    "oracle": "63b38e77e86f3b1605ce814d80bc2451dc39bf7b8f69282d0ca5602d35eb1dd3",
+    "gen-erdos-renyi": "c093e1af655f63a6a9c7551513175623158a28e69382aa5589650fd2e7a9cc24",
+    "gen-cycle": "27a7f20c8c1ac069284c4322f47695fb2d6f86e9d201a3fbd466947ce89b97ef",
+    "gen-complete": "51ac8588af7eae34e8cc91650d0b3eb8146ae2ecb8f5218311140fa1ac6b711d",
 }
+
+# the fixed graph itself: G(7) drawn at edge probability 0.5
+GOLDEN_GRAPH_FLAGS = ["--family", "erdos-renyi", "--n", "7", "--p-edge", "0.5", "--seed", "5"]
 
 
 def _golden_argv(name, graph):
     tuning = ["--root", "2", "--B", "2"]
+    if name == "gen-erdos-renyi":
+        return ["gen"] + GOLDEN_GRAPH_FLAGS
+    if name.startswith("gen-"):
+        return ["gen", "--family", name[4:], "--n", "7"]
+    if name == "oracle":
+        return ["oracle", graph] + tuning
     if name == "bench-depth":
         return ["bench-depth", "--family", "erdos-renyi", "--p-edge", "0.5",
                 "--n", "5,6", "--B", "2,3", "--trials", "2", "--seed", "4",
@@ -229,8 +252,7 @@ def _golden_argv(name, graph):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_outputs(name, tmp_path):
     graph = tmp_path / "g.txt"
-    assert main(["gen", "--family", "erdos-renyi", "--n", "7", "--p-edge", "0.5",
-                 "--seed", "5", "--out", str(graph)]) == 0
+    assert main(["gen"] + GOLDEN_GRAPH_FLAGS + ["--out", str(graph)]) == 0
     out = tmp_path / "out.txt"
     assert main(_golden_argv(name, str(graph)) + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]

@@ -1,0 +1,81 @@
+"""Static checks that keep dead names out of the package, with stdlib ast.
+
+An import a module never reads, or a module-level constant that nothing
+reads, is code that only looks like it matters. Import lines marked
+``# noqa: F401`` are exempt: perfbench/spans.py traces the package by
+patching those module-level names.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "treeqaoa"
+# every tree whose code may read a package constant
+READERS = [ROOT / "src", ROOT / "tests", ROOT / "demos", ROOT / "perfbench"]
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _modules():
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """Names read anywhere in tree, as bare names or as attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _unused_imports(path: Path) -> list[str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tree = _parse(path)
+    loaded = _loaded(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in loaded:
+                unused.append(f"{path.stem}.{bound}")
+    return unused
+
+
+def _constants(path: Path) -> list[str]:
+    names = []
+    for node in _parse(path).body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names += [t.id for t in targets
+                  if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+    return names
+
+
+def test_no_unused_imports():
+    unused = [name for path in _modules() if path.name != "__init__.py"
+              for name in _unused_imports(path)]
+    assert unused == []
+
+
+def test_no_dead_constants():
+    loaded = set()
+    for top in READERS:
+        for path in top.rglob("*.py"):
+            loaded |= _loaded(_parse(path))
+    dead = [f"{path.stem}.{name}" for path in _modules()
+            for name in _constants(path) if name not in loaded]
+    assert dead == []

@@ -105,24 +105,14 @@ def test_verify_accepts_scheduler_outputs():
 def test_verify_flags_parent_step_reuse():
     g = Graph(3, [(0, 1), (1, 2)])
     t = tree_from_edges(3, 0, [(0, 1), (1, 2)])
-    sched = StepSchedule(
-        strategy="tree_ordered",
-        tree=t,
-        step_of={(0, 1): 1, (1, 2): 1},
-        num_steps=1,
-    )
+    sched = StepSchedule(tree=t, step_of={(0, 1): 1, (1, 2): 1})
     violations = verify_schedule(g, sched)
     assert any("ancestor" in v for v in violations)
 
 
 def test_verify_flags_incident_conflict():
     g = Graph(3, [(0, 1), (0, 2)])
-    sched = StepSchedule(
-        strategy="traditional",
-        tree=None,
-        step_of={(0, 1): 1, (0, 2): 1},
-        num_steps=1,
-    )
+    sched = StepSchedule(tree=None, step_of={(0, 1): 1, (0, 2): 1})
     violations = verify_schedule(g, sched)
     assert len(violations) == 1
     assert "share step 1" in violations[0]
@@ -134,7 +124,7 @@ def test_verify_flags_nontree_before_tree_phase():
     sched = schedule_tree_ordered(g, t)
     bad = dict(sched.step_of)
     bad[(0, 3)] = 1  # the non-tree edge, shoved into the tree phase
-    broken = StepSchedule("tree_ordered", t, bad, max(bad.values()))
+    broken = StepSchedule(t, bad)
     assert any("tree phase" in v for v in verify_schedule(g, broken))
 
 
