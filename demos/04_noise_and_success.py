@@ -34,14 +34,14 @@ print(f"{'variant':<14} {'CNOTs':>5} {'steps':>5} {'P_success':>10}")
 
 sched = schedule_traditional(g)
 circ = build_traditional(g, params, sched)
-r = run_noisy(circ, sched, noise)
+r = run_noisy(circ, noise)
 print(f"{'traditional':<14} {circ.cnot_count():>5} {sched.num_steps:>5} {r.p_success:>10.4f}")
 
 for name, tree in (("dfs tree", build_dfs_tree(g, 0)),
                    ("greedy tree", build_greedy_tree(g, 0, HeuristicConfig(B=3)))):
     sched = schedule_tree_ordered(g, tree)
     circ = build_optimized(g, params, tree, sched)
-    r = run_noisy(circ, sched, noise)
+    r = run_noisy(circ, noise)
     print(f"{name:<14} {circ.cnot_count():>5} {sched.num_steps:>5} {r.p_success:>10.4f}")
 
 # the channel components are individually monotone
@@ -53,4 +53,4 @@ for label, np_ in (("no noise", NoiseParams(0, 0, 0)),
                    ("CNOT only", NoiseParams(0.01, 0, 0)),
                    ("idle only", NoiseParams(0, 0, 0.002)),
                    ("all", NoiseParams())):
-    print(f"  {label:<10} P_success = {run_noisy(circ, sched, np_).p_success:.6f}")
+    print(f"  {label:<10} P_success = {run_noisy(circ, np_).p_success:.6f}")

@@ -182,7 +182,7 @@ def run_success_experiment(cfg: ExperimentConfig) -> list[dict]:
             rng = np.random.default_rng(derive_seed(cfg.seed + 1, n, trial))
             gamma, beta = rng.uniform(0.0, 2.0 * np.pi, size=2)
             params = AnsatzParams(p=1, gammas=(float(gamma),), betas=(float(beta),))
-            result = run_noisy(circuit_for(g, sched, params), sched, cfg.noise)
+            result = run_noisy(circuit_for(g, sched, params), cfg.noise)
             losses.append(1.0 - result.p_success)
         rows.append(_row(cfg, n, strategy, B,
                          mean_one_minus_psuccess=float(np.mean(losses))))

@@ -13,6 +13,9 @@ CNOT would have fired, so it acted as the identity. Non-tree edges and all
 layers past the first keep the full three-gate block, so the saving is
 exactly n-1 CNOTs regardless of p.
 
+Each cost-block gate is tagged (layer, step), the schedule step its edge runs
+in, so the circuit carries its own steps; H and mixer gates are untagged.
+
 Depth here is architecture-independent logical depth: the longest chain of
 gates that pairwise share a qubit, each gate counting 1.
 """
@@ -20,29 +23,26 @@ gates that pairwise share a qubit, each gate counting 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Edge, Graph, canonical_edge
 from .scheduling import StepSchedule, verify_schedule
 from .trees import RootedSpanningTree
 
-# provenance tags
-INIT = "init"
-COST = "cost"
-MIXER = "mixer"
+MAX_CIRCUIT_GATES = 10_000_000  # about 1.3 GB at ~130 bytes per gate
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate: name in {H, RZ, RX, CX}, qubit tuple, optional angle.
 
-    tag records provenance: ("init",), ("cost", layer, edge) or
-    ("mixer", layer).
+    tag is (layer, step) for a gate of a cost block, the 1-based ansatz
+    layer and the schedule step of its edge, and None for H and mixer gates.
     """
 
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    tag: tuple = (INIT,)
+    tag: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,15 @@ class CircuitIR:
         return len(self.gates)
 
 
+def check_circuit_size(n: int, m: int, p: int) -> None:
+    """Refuse, before any gate is built, a p-layer ansatz on n vertices and m
+    edges whose gate bound n + p(n + 3m) exceeds MAX_CIRCUIT_GATES."""
+    gates = n + p * (n + 3 * m)
+    if gates > MAX_CIRCUIT_GATES:
+        raise ValueError(f"a {p}-layer circuit on n={n}, m={m} has up to {gates} gates, "
+                         f"more than the cap of {MAX_CIRCUIT_GATES}")
+
+
 def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule,
             reduced: dict[Edge, tuple[int, int]]) -> CircuitIR:
     """H layer, then p (cost, mixer) layers; cost blocks run in step order,
@@ -112,11 +121,12 @@ def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule,
     (canonical tree edge -> (parent, child)) lose their leading CNOT."""
     if set(sched.step_of) != set(g.edges):
         raise ValueError("schedule does not cover exactly the graph's edges")
+    check_circuit_size(g.n, g.m, params.p)
     order = sorted(g.edges, key=sched.step_of.__getitem__)
     gates: list[Gate] = [Gate("H", (q,)) for q in range(g.n)]
     for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas), start=1):
         for e in order:
-            tag = (COST, layer, e)
+            tag = (layer, sched.step_of[e])
             if layer == 1 and e in reduced:
                 par, child = reduced[e]
                 gates += (Gate("RZ", (child,), 2.0 * gamma, tag=tag),
@@ -124,7 +134,7 @@ def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule,
             else:
                 cx = Gate("CX", e, tag=tag)  # immutable, so both CNOTs share it
                 gates += (cx, Gate("RZ", (e[1],), 2.0 * gamma, tag=tag), cx)
-        gates += [Gate("RX", (q,), 2.0 * beta, tag=(MIXER, layer)) for q in range(g.n)]
+        gates += [Gate("RX", (q,), 2.0 * beta) for q in range(g.n)]
     return CircuitIR(g.n, gates)
 
 

@@ -20,7 +20,7 @@ from .bench import (
     ExperimentConfig, circuit_for, rows_to_csv, run_depth_experiment,
     run_success_experiment, schedule_for, tree_for,
 )
-from .circuits import AnsatzParams
+from .circuits import AnsatzParams, check_circuit_size
 from .graphs import (
     Graph,
     GraphError,
@@ -67,13 +67,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _ansatz_params(args) -> AnsatzParams:
+def _ansatz_params(args, g: Graph) -> AnsatzParams:
     if args.gamma is not None or args.beta is not None:
         if args.gamma is None or args.beta is None:
             raise ValueError("--gamma and --beta must be given together")
         gammas = tuple(float(x) for x in args.gamma.split(","))
         betas = tuple(float(x) for x in args.beta.split(","))
         return AnsatzParams(p=len(gammas), gammas=gammas, betas=betas)
+    check_circuit_size(g.n, g.m, args.p)  # before drawing 2p angles
     rng = np.random.default_rng(args.angle_seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=2 * args.p)
     return AnsatzParams(
@@ -106,7 +107,7 @@ def _cmd_schedule(args) -> None:
 
 def _synthesize(args):
     g = _load_graph(args.graph)
-    params = _ansatz_params(args)
+    params = _ansatz_params(args, g)
     sched = schedule_for(g, args.strategy, args.root, args.B)
     return g, sched, circuit_for(g, sched, params)
 
@@ -118,7 +119,7 @@ def _cmd_circuit(args) -> None:
 
 def _cmd_simulate(args) -> None:
     g, sched, circ = _synthesize(args)
-    result = run_noisy(circ, sched, _parse_noise(args.noise))
+    result = run_noisy(circ, _parse_noise(args.noise))
     lines = [
         "strategy,n,m,num_steps,cnot_count,gate_depth,p_success",
         ",".join([

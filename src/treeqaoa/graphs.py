@@ -145,12 +145,12 @@ def generate_erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
     if not 0.0 < p_edge <= 1.0:
         raise GraphError(f"p_edge must be in (0, 1], got {p_edge}")
     _check_pairs("erdos_renyi", n, n * (n - 1) // 2)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    iu, iv = np.triu_indices(n, 1)  # the pairs (u, v), u < v, in canonical order
     rng = np.random.default_rng(seed)
     resamples = 0
     while True:
-        draws = rng.random(len(pairs))
-        edges = [pairs[i] for i in np.flatnonzero(draws < p_edge)]
+        keep = np.flatnonzero(rng.random(len(iu)) < p_edge)
+        edges = list(zip(iu[keep].tolist(), iv[keep].tolist()))
         if edges_connected(n, edges):
             break
         resamples += 1

@@ -3,10 +3,10 @@
 Amplitudes are little-endian: basis index i encodes qubit q as bit q of i.
 The noisy engine evolves a density matrix rho, held as its real Pauli
 coefficients r_P = Tr(P rho), applying a depolarizing channel after every
-gate (two-qubit for CNOT, one-qubit otherwise) plus a per-step idle channel
-on every qubit untouched by that step's edges, so error exposure grows both
-with CNOT count and with schedule depth. The depolarizing channel with
-probability p replaces the state of the affected qubits by the maximally
+gate (two-qubit for CNOT, one-qubit otherwise) plus an idle channel on every
+qubit untouched by each (layer, step)-tagged run of gates, so error exposure
+grows both with CNOT count and with schedule depth. The depolarizing channel
+with probability p replaces the state of the affected qubits by the maximally
 mixed state, so it scales by 1 - p every r_P whose P is not I on them all:
     D_p(rho) = (1 - p) * rho + p * (I / 2^k) (x) Tr_k(rho).
 """
@@ -16,12 +16,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
-from .circuits import COST, CircuitIR, Gate
-from .graphs import Graph, canonical_edge
-from .scheduling import StepSchedule
+from .circuits import CircuitIR, Gate
+from .graphs import Graph
 
 logger = logging.getLogger(__name__)
 
@@ -220,47 +221,32 @@ def _overlap(r: np.ndarray, psi: np.ndarray, spare: np.ndarray) -> float:
     return float(z[0].real + z[0].imag)
 
 
-def run_noisy(c: CircuitIR, sched: StepSchedule, noise: NoiseParams) -> SimResult:
+def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
     """Noisy evolution of c under per-gate and per-step depolarizing noise.
 
-    The schedule supplies both the step of every edge block (for idle
-    accounting) and the set of qubits busy in each step.
+    Each run of consecutive gates with the same (layer, step) tag is one
+    schedule step: after it, every qubit its gates leave untouched idles.
     """
     n = c.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"too many qubits for density matrix: {n} > {MAX_DENSITY_QUBITS}")
-    try:  # (layer, step) of each cost gate
-        keys = [(g.tag[1], sched.step_of[canonical_edge(*g.tag[2])]) if g.tag[0] == COST
-                else None for g in c.gates]
-    except KeyError as missing:
-        raise ValueError(f"circuit edge {missing.args[0]} missing from schedule") from None
-    idle: dict[int, set[int]] = {s: set(range(n)) for s in range(1, sched.num_steps + 1)}
-    for (u, v), s in sched.step_of.items():
-        idle[s] -= {u, v}
-
     psi = run_ideal(c).amplitudes
     # |0...0><0...0| = prod_q (I + Z_q) / 2: coefficient 1 on every string of I and Z
     r = np.zeros((4,) * n)
     r[np.ix_(*[[0, 3]] * n)] = 1.0
     spare = np.empty_like(r)
     channels = 0
-
-    def idle_flush(key: tuple[int, int] | None) -> None:
-        nonlocal channels
-        for q in idle[key[1]] if key is not None and noise.p_idle else ():
+    for tag, step in groupby(c.gates, key=attrgetter("tag")):
+        busy = set()
+        for gate in step:
+            p = noise.p_cx if gate.name == "CX" else noise.p_1q
+            _ptm_pass(r, spare, gate.qubits, _ptm(gate.name, gate.angle), 1.0 - p)
+            r, spare = spare, r
+            channels += p > 0.0
+            busy.update(gate.qubits)
+        for q in set(range(n)) - busy if tag is not None and noise.p_idle else ():
             r[(slice(None),) * (n - 1 - q) + (slice(1, None),)] *= 1.0 - noise.p_idle
             channels += 1
-
-    current: tuple[int, int] | None = None  # (layer, step) of the open cost step
-    for gate, key in zip(c.gates, keys):
-        if key != current:
-            idle_flush(current)
-            current = key
-        p = noise.p_cx if gate.name == "CX" else noise.p_1q
-        _ptm_pass(r, spare, gate.qubits, _ptm(gate.name, gate.angle), 1.0 - p)
-        r, spare = spare, r
-        channels += p > 0.0
-    idle_flush(current)
 
     ref = float(np.real(np.vdot(psi, psi)))
     if channels == 0:  # the state is psi itself, which scores exactly 1

@@ -10,8 +10,9 @@ from collections import deque
 
 import numpy as np
 
-from treeqaoa.circuits import COST, INIT, MIXER
-from treeqaoa.graphs import Edge, Graph, canonical_edge, edges_connected
+from treeqaoa.graphs import (
+    MAX_ER_REJECTIONS, Edge, Graph, GraphError, canonical_edge, edges_connected,
+)
 from treeqaoa.oracle import MAX_ORACLE_VERTICES, OracleResult
 from treeqaoa.scheduling import StepSchedule
 from treeqaoa.simulate import SimResult, run_ideal
@@ -126,7 +127,9 @@ def dm_depolarize_inplace(t, n, qubits, p):
 def noisy_events(c, sched, noise):
     """The noisy run in order: ("gate", gate) for each gate, then
     ("channel", qubits, p) for the channel after it, and the idle channels of
-    each step, one qubit at a time, when the next step or layer begins."""
+    each step, one qubit at a time, when the next step or layer begins. A
+    gate's (layer, step) tag names its step; the idle qubits of step s are
+    those no edge that sched puts at s touches."""
     busy = {s: set() for s in range(1, sched.num_steps + 1)}
     for (u, v), s in sched.step_of.items():
         busy[s].update((u, v))
@@ -138,12 +141,9 @@ def noisy_events(c, sched, noise):
 
     current = None
     for gate in c.gates:
-        key = None
-        if gate.tag[0] == COST:
-            key = (gate.tag[1], sched.step_of[canonical_edge(*gate.tag[2])])
-        if key != current:
+        if gate.tag != current:
             yield from idle(current)
-            current = key
+            current = gate.tag
         yield ("gate", gate)
         yield ("channel", gate.qubits, noise.p_cx if gate.name == "CX" else noise.p_1q)
     yield from idle(current)
@@ -245,6 +245,19 @@ def depolarize_oracle(rho, n, qubits, p):
     return (1 - p) * rho + p * full
 
 
+def generate_erdos_renyi_reference(n, p_edge, seed):
+    """The G(n, p) sampler that the triu_indices one replaced: the same
+    draws against a Python list of every pair (u, v), u < v."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_ER_REJECTIONS):
+        draws = rng.random(len(pairs))
+        edges = [pairs[i] for i in np.flatnonzero(draws < p_edge)]
+        if edges_connected(n, edges):
+            return Graph(n, edges)
+    raise GraphError(f"{MAX_ER_REJECTIONS} disconnected samples in a row")
+
+
 def tree_from_edges(n, root, parent_child_edges):
     """Build a RootedSpanningTree from explicit (parent, child) pairs
     listed in discovery order; n must be the tree's vertex count."""
@@ -312,20 +325,21 @@ def schedule_reference(g, t=None):
 
 def ansatz_reference(g, params, step_of, t=None):
     """Ansatz as (name, qubits, angle, tag) tuples, from edges grouped per
-    step with each group sorted; with a tree, its edges' layer-1 blocks are
-    RZ(child) then CX(parent, child), every other block CX RZ CX."""
+    step with each group sorted and cost gates tagged (layer, step); with a
+    tree, its edges' layer-1 blocks are RZ(child) then CX(parent, child),
+    every other block CX RZ CX."""
     steps = {}
     for e in g.edges:
         steps.setdefault(step_of[e], []).append(e)
     oriented = {}
     if t is not None:
         oriented = {canonical_edge(u, v): (u, v) for u, v in t.discovery_order}
-    gates = [("H", (q,), None, (INIT,)) for q in range(g.n)]
+    gates = [("H", (q,), None, None) for q in range(g.n)]
     for layer in range(1, params.p + 1):
         gamma = params.gammas[layer - 1]
         for s in sorted(steps):
             for j, k in sorted(steps[s]):
-                tag = (COST, layer, (j, k))
+                tag = (layer, s)
                 if layer == 1 and (j, k) in oriented:
                     par, child = oriented[(j, k)]
                     gates.append(("RZ", (child,), 2.0 * gamma, tag))
@@ -335,7 +349,7 @@ def ansatz_reference(g, params, step_of, t=None):
                     gates.append(("RZ", (k,), 2.0 * gamma, tag))
                     gates.append(("CX", (j, k), None, tag))
         beta = params.betas[layer - 1]
-        gates.extend(("RX", (q,), 2.0 * beta, (MIXER, layer)) for q in range(g.n))
+        gates.extend(("RX", (q,), 2.0 * beta, None) for q in range(g.n))
     return gates
 
 

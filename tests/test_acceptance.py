@@ -258,9 +258,9 @@ def test_criterion_8_simulator_oracles():
     t = build_greedy_tree(g, 0, HeuristicConfig(B=3))
     sched = schedule_tree_ordered(g, t)
     circ = build_optimized(g, AnsatzParams(1, (0.6,), (0.2,)), t, sched)
-    noisy = run_noisy(circ, sched, NoiseParams())
+    noisy = run_noisy(circ, NoiseParams())
     assert noisy.trace == pytest.approx(1.0, abs=1e-9)
-    assert run_noisy(circ, sched, NoiseParams(0.0, 0.0, 0.0)).p_success == 1.0
+    assert run_noisy(circ, NoiseParams(0.0, 0.0, 0.0)).p_success == 1.0
     _report(8, f"{len(circuits)} 3-qubit circuits match the matrix oracle at 1e-12; "
                "trace preserved at 1e-9; zero noise gives exactly 1")
 

@@ -162,7 +162,7 @@ def test_success_k2_matches_direct_simulation():
     circ = build_traditional(
         g, AnsatzParams(1, (float(gamma),), (float(beta),)), sched
     )
-    direct = 1.0 - run_noisy(circ, sched, noise).p_success
+    direct = 1.0 - run_noisy(circ, noise).p_success
     assert rows[0]["mean_one_minus_psuccess"] == pytest.approx(direct, abs=1e-15)
 
 

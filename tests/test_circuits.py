@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
-from treeqaoa.circuits import AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional
+from treeqaoa.circuits import (
+    AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional, check_circuit_size,
+)
 from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
 from treeqaoa.trees import HeuristicConfig, build_bfs_tree, build_dfs_tree, build_greedy_tree
@@ -41,7 +43,7 @@ def test_optimized_k2_block():
     t = build_dfs_tree(g, 0)
     sched = schedule_tree_ordered(g, t)
     c = build_optimized(g, AnsatzParams(1, (0.9,), (0.2,)), t, sched)
-    cost = [gate for gate in c.gates if gate.tag[0] == "cost"]
+    cost = [gate for gate in c.gates if gate.tag is not None]
     assert [(gate.name, gate.qubits) for gate in cost] == [("RZ", (1,)), ("CX", (0, 1))]
     assert cost[0].angle == pytest.approx(1.8)
 
@@ -70,10 +72,10 @@ def test_layer_gate_counts():
     trad = build_traditional(g, p, schedule_traditional(g))
     opt = build_optimized(g, p, t, sched)
     for circ, layer1_cx in ((trad, 2 * g.m), (opt, 2 * g.m - (g.n - 1))):
-        layer1 = [gt for gt in circ.gates if gt.tag[0] == "cost" and gt.tag[1] == 1]
+        layer1 = [gt for gt in circ.gates if gt.tag is not None and gt.tag[0] == 1]
         assert sum(1 for gt in layer1 if gt.name == "CX") == layer1_cx
         assert sum(1 for gt in layer1 if gt.name == "RZ") == g.m
-        layer2 = [gt for gt in circ.gates if gt.tag[0] == "cost" and gt.tag[1] == 2]
+        layer2 = [gt for gt in circ.gates if gt.tag is not None and gt.tag[0] == 2]
         assert sum(1 for gt in layer2 if gt.name == "CX") == 2 * g.m
 
 
@@ -148,6 +150,17 @@ def test_builder_validation():
     g5 = generate_cycle(5)
     with pytest.raises(ValueError):
         build_traditional(g5, params_for(1), trad_sched)
+
+
+def test_circuit_size_cap():
+    # K2000 at p=1, the largest generator graph, is about 6.0M gates
+    check_circuit_size(2000, 1999000, 1)
+    with pytest.raises(ValueError, match="cap"):
+        check_circuit_size(2000, 1999000, 2)
+    # the builders refuse before building any gate
+    g = generate_cycle(5)
+    with pytest.raises(ValueError, match="cap"):
+        build_traditional(g, params_for(10 ** 6), schedule_traditional(g))
 
 
 def test_ansatz_params_validation():

@@ -189,6 +189,17 @@ def test_generator_caps_exit_nonzero(capsys):
         assert "disconnected samples" in capsys.readouterr().err
 
 
+def test_layer_count_cap_exits_nonzero(tmp_path, capsys):
+    # 10^9 layers on a 5-cycle would draw 16 GB of angles; the gate cap
+    # refuses the circuit before any angle is drawn or gate built
+    cycle = tmp_path / "c5.txt"
+    assert main(["gen", "--family", "cycle", "--n", "5", "--out", str(cycle)]) == 0
+    with address_space_cap(256 << 20):
+        for command in ("circuit", "simulate"):
+            assert main([command, str(cycle), "--p", "1000000000"]) == 1
+            assert "error:" in capsys.readouterr().err
+
+
 def test_stdout_fallback(graph_file, capsys):
     assert main(["tree", graph_file, "--strategy", "bfs"]) == 0
     assert capsys.readouterr().out.startswith("root 0")

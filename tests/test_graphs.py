@@ -15,7 +15,7 @@ from treeqaoa.graphs import (
     write_edge_list,
 )
 
-from helpers import HOSTILE_HEADER, address_space_cap
+from helpers import HOSTILE_HEADER, address_space_cap, generate_erdos_renyi_reference
 
 
 def test_complete_counts():
@@ -70,6 +70,24 @@ def test_er_reproducible():
     assert a.edges == b.edges
     c = generate_erdos_renyi(15, 0.3, seed=43)
     assert a.edges != c.edges  # overwhelmingly likely for a different seed
+
+
+def test_er_matches_pair_list_reference():
+    # the triu_indices sampler against the Python pair list it replaced
+    rng = np.random.default_rng(2718)
+    for _ in range(3000):
+        n = int(rng.integers(2, 60))
+        p_edge = float(rng.uniform(0.05, 1.0))
+        seed = int(rng.integers(1 << 30))
+        try:
+            want = generate_erdos_renyi_reference(n, p_edge, seed).edges
+        except GraphError:
+            with pytest.raises(GraphError):
+                generate_erdos_renyi(n, p_edge, seed)
+            continue
+        got = generate_erdos_renyi(n, p_edge, seed).edges
+        assert got == want
+        assert all(type(x) is int for e in got for x in e)
 
 
 def test_er_rejects_bad_args():

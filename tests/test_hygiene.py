@@ -4,6 +4,11 @@ An import a module never reads, or a module-level constant that nothing
 reads, is code that only looks like it matters. Import lines marked
 ``# noqa: F401`` are exempt: perfbench/spans.py traces the package by
 patching those module-level names.
+
+The package is layered along its pipeline, and each module may import only
+the siblings LAYERS lists for it, so a decision cannot leak into a module
+that should not know it (the noisy engine reads steps from the circuit's
+tags, not from a schedule).
 """
 
 import ast
@@ -15,6 +20,18 @@ PACKAGE = ROOT / "src" / "treeqaoa"
 # every tree whose code may read a package constant
 READERS = [ROOT / "src", ROOT / "tests", ROOT / "demos", ROOT / "perfbench"]
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+# the sibling modules each package module may import
+LAYERS = {
+    "graphs": set(),
+    "trees": {"graphs"},
+    "scheduling": {"graphs", "trees"},
+    "circuits": {"graphs", "trees", "scheduling"},
+    "simulate": {"graphs", "circuits"},
+    "oracle": {"graphs", "trees", "scheduling"},
+    "bench": {"graphs", "trees", "scheduling", "circuits", "simulate"},
+    "cli": {"graphs", "trees", "scheduling", "circuits", "simulate", "oracle", "bench"},
+    "__init__": {"graphs", "trees", "scheduling", "circuits", "simulate", "oracle", "bench"},
+}
 
 
 def _modules():
@@ -79,3 +96,20 @@ def test_no_dead_constants():
     dead = [f"{path.stem}.{name}" for path in _modules()
             for name in _constants(path) if name not in loaded]
     assert dead == []
+
+
+def _siblings(path: Path) -> set[str]:
+    """Package modules that path imports (the package imports relatively)."""
+    found = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+    return found
+
+
+def test_imports_follow_layers():
+    assert sorted(path.stem for path in _modules()) == sorted(LAYERS)
+    breaches = [f"{path.stem} -> {name}" for path in _modules()
+                for name in sorted(_siblings(path) - LAYERS[path.stem])]
+    assert breaches == []

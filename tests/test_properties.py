@@ -1,5 +1,8 @@
 """Property tests over random connected graphs, drawn by hypothesis."""
 
+from itertools import groupby
+from operator import attrgetter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +56,24 @@ def test_cnot_saving_is_n_minus_1(case, p):
     for strategy in TREE_STRATEGIES:
         reduced = circuit_for(g, schedule_for(g, strategy, root, B), params).cnot_count()
         assert full - reduced == g.n - 1
+
+
+@SETTINGS
+@given(synthesis_cases(), st.integers(1, 3))
+def test_cost_gates_carry_their_schedule_step(case, p):
+    # the tagged gates form one run per (layer, step), in rising order, and a
+    # run touches exactly the endpoints of the edges scheduled at that step
+    g, root, B = case
+    params = AnsatzParams(p, (0.3,) * p, (0.8,) * p)
+    for strategy in STRATEGIES:
+        sched = schedule_for(g, strategy, root, B)
+        want = {}
+        for (u, v), s in sched.step_of.items():
+            want.setdefault(s, set()).update((u, v))
+        cost = [gate for gate in circuit_for(g, sched, params).gates if gate.tag is not None]
+        runs = [(tag, {q for gate in run for q in gate.qubits})
+                for tag, run in groupby(cost, key=attrgetter("tag"))]
+        assert runs == [((layer, s), want[s]) for layer in range(1, p + 1) for s in sorted(want)]
 
 
 @SETTINGS

@@ -5,7 +5,7 @@ import pytest
 
 from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional
-from treeqaoa.graphs import Graph, generate_complete, generate_cycle, generate_erdos_renyi
+from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import schedule_traditional, schedule_tree_ordered
 from treeqaoa.simulate import (
     NoiseParams,
@@ -112,18 +112,16 @@ def test_zero_noise_success_is_exactly_one():
     t = build_greedy_tree(g, 0, HeuristicConfig(B=3))
     sched = schedule_tree_ordered(g, t)
     circ = build_optimized(g, AnsatzParams(1, (0.8,), (0.3,)), t, sched)
-    result = run_noisy(circ, sched, NoiseParams(0.0, 0.0, 0.0))
+    result = run_noisy(circ, NoiseParams(0.0, 0.0, 0.0))
     assert result.p_success == 1.0
 
 
 def test_single_cnot_closed_form():
     # depolarizing a 2-qubit pure state |00> with probability p leaves
     # (1-p)|00><00| + p*I/4, so the overlap is (1-p) + p/4
-    g = Graph(2, [(0, 1)])
-    sched = schedule_traditional(g)
-    circ = CircuitIR(2, [Gate("CX", (0, 1), tag=("cost", 1, (0, 1)))])
+    circ = CircuitIR(2, [Gate("CX", (0, 1), tag=(1, 1))])
     p = 0.01
-    result = run_noisy(circ, sched, NoiseParams(p_cx=p, p_1q=0.0, p_idle=0.0))
+    result = run_noisy(circ, NoiseParams(p_cx=p, p_1q=0.0, p_idle=0.0))
     assert result.p_success == pytest.approx(1 - p + p / 4, abs=1e-12)
 
 
@@ -148,7 +146,7 @@ def test_full_k2_circuit_matches_hand_channel_algebra():
         psi = run_matrix_oracle(circ)
         expected = float(np.real(psi.conj() @ rho @ psi))
 
-        result = run_noisy(circ, sched, noise)
+        result = run_noisy(circ, noise)
         assert result.p_success == pytest.approx(expected, abs=1e-10)
 
 
@@ -187,7 +185,7 @@ def test_trace_preserved_through_noisy_run():
     t = build_dfs_tree(g, 0)
     sched = schedule_tree_ordered(g, t)
     circ = build_optimized(g, AnsatzParams(1, (0.5,), (0.25,)), t, sched)
-    result = run_noisy(circ, sched, NoiseParams())
+    result = run_noisy(circ, NoiseParams())
     assert result.trace == pytest.approx(1.0, abs=1e-9)
 
 
@@ -207,26 +205,45 @@ def test_success_monotone_in_noise():
     sched = schedule_traditional(g)
     circ = build_traditional(g, AnsatzParams(1, (0.6,), (0.2,)), sched)
     base = NoiseParams(0.01, 0.001, 0.002)
-    p0 = run_noisy(circ, sched, base).p_success
+    p0 = run_noisy(circ, base).p_success
     for bump in (
         NoiseParams(0.03, 0.001, 0.002),
         NoiseParams(0.01, 0.004, 0.002),
         NoiseParams(0.01, 0.001, 0.008),
     ):
-        assert run_noisy(circ, sched, bump).p_success <= p0 + 1e-12
+        assert run_noisy(circ, bump).p_success <= p0 + 1e-12
 
 
-def test_noisy_qubit_guard_and_mismatch():
+def test_noisy_qubit_guard():
     g = generate_complete(11)
     sched = schedule_traditional(g)
     circ = build_traditional(g, AnsatzParams(1, (0.1,), (0.1,)), sched)
     with pytest.raises(ValueError, match="too many"):
-        run_noisy(circ, sched, NoiseParams())
-    g4 = generate_cycle(4)
-    circ4 = build_traditional(g4, AnsatzParams(1, (0.1,), (0.1,)), schedule_traditional(g4))
-    other = schedule_traditional(generate_cycle(5))
-    with pytest.raises(ValueError, match="missing from schedule"):
-        run_noisy(circ4, other, NoiseParams())
+        run_noisy(circ, NoiseParams())
+
+
+def test_idle_channels_follow_step_tags():
+    # only idle noise on |000>, which the CNOTs leave alone: a qubit idle
+    # through k tagged steps keeps <Z> = (1 - p_idle)^k and so scores
+    # (1 + (1 - p_idle)^k) / 2; untagged gates add no idle channel
+    p_idle = 0.02
+    noise = NoiseParams(p_cx=0.0, p_1q=0.0, p_idle=p_idle)
+
+    def idle(k):
+        return (1 + (1 - p_idle) ** k) / 2
+
+    cx = Gate("CX", (0, 1), tag=(1, 1))
+    cases = [
+        ([cx], idle(1)),
+        ([cx, cx], idle(1)),  # one run of equal tags is one step
+        ([cx, Gate("CX", (0, 1), tag=(1, 2))], idle(2)),
+        ([cx, Gate("RX", (1,), 0.0), Gate("CX", (0, 1), tag=(2, 1))], idle(2)),
+        ([Gate("CX", (0, 1)), Gate("RZ", (1,), 0.3)], 1.0),
+        ([cx, Gate("CX", (0, 2), tag=(1, 2))], idle(1) ** 2),  # qubit 2, then qubit 1
+    ]
+    for gates, want in cases:
+        assert run_noisy(CircuitIR(3, gates), noise).p_success == pytest.approx(want, abs=1e-15)
+    assert idle(1) == pytest.approx(0.99, abs=1e-15)
 
 
 def test_statevector_and_noise_validation():
@@ -267,7 +284,7 @@ def test_matches_density_matrix_reference():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         circ, sched, noise = _random_run(rng, 7)
-        got, want = run_noisy(circ, sched, noise), run_noisy_reference(circ, sched, noise)
+        got, want = run_noisy(circ, noise), run_noisy_reference(circ, sched, noise)
         assert got.p_success == pytest.approx(want.p_success, abs=1e-12)
         assert got.trace == pytest.approx(want.trace, abs=1e-12)
         if not (noise.p_cx or noise.p_1q or noise.p_idle):
@@ -279,19 +296,17 @@ def test_idle_noise_matches_dense_reference():
     for _ in range(50):
         circ, sched, noise = _random_run(rng, 4)
         noise = NoiseParams(noise.p_cx, noise.p_1q, float(rng.uniform(0.01, 0.2)))
-        got, want = run_noisy(circ, sched, noise), run_noisy_dense(circ, sched, noise)
+        got, want = run_noisy(circ, noise), run_noisy_dense(circ, sched, noise)
         assert got.p_success == pytest.approx(want.p_success, abs=1e-12)
         assert got.trace == pytest.approx(want.trace, abs=1e-12)
 
 
 def test_noisy_run_logs_one_debug_record(caplog, capsys):
-    g = Graph(2, [(0, 1)])
-    sched = schedule_traditional(g)
-    circ = CircuitIR(2, [Gate("H", (0,)), Gate("CX", (0, 1), tag=("cost", 1, (0, 1)))])
-    run_noisy(circ, sched, NoiseParams(p_cx=0.01, p_1q=0.0, p_idle=0.0))
+    circ = CircuitIR(2, [Gate("H", (0,)), Gate("CX", (0, 1), tag=(1, 1))])
+    run_noisy(circ, NoiseParams(p_cx=0.01, p_1q=0.0, p_idle=0.0))
     assert not caplog.records and capsys.readouterr() == ("", "")
     with caplog.at_level(logging.DEBUG, logger="treeqaoa.simulate"):
-        run_noisy(circ, sched, NoiseParams(p_cx=0.01, p_1q=0.002, p_idle=0.0))
+        run_noisy(circ, NoiseParams(p_cx=0.01, p_1q=0.002, p_idle=0.0))
     (record,) = [r for r in caplog.records if r.name == "treeqaoa.simulate"]
     assert record.levelno == logging.DEBUG
     assert record.args[0] == 2  # the H channel and the CNOT channel
