@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzParams, build_optimized, build_traditional
+from .circuits import AnsatzParams, block_metrics, build_optimized, build_traditional
 from .graphs import Graph, generate_complete, generate_cycle, generate_erdos_renyi
 from .scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
 from .simulate import NoiseParams, run_noisy
@@ -150,14 +150,13 @@ def run_depth_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Steps / gate-depth / CNOT metrics per (n, strategy[, B]) cell."""
     rows: list[dict] = []
     for (n, strategy, B), instances in _cells(cfg):
-        steps, tree_steps, depths, cnots = [], [], [], []
+        steps, tree_steps, metrics = [], [], []
         for _, g, sched in instances:
-            circ = circuit_for(g, sched, _DEPTH_PARAMS)
+            metrics.append(block_metrics(g, _DEPTH_PARAMS, sched))
             steps.append(sched.num_steps)
             if sched.tree is not None:
                 tree_steps.append(sched.tree_steps())
-            depths.append(circ.depth())
-            cnots.append(circ.cnot_count())
+        depths, cnots = zip(*metrics)
         rows.append(_row(
             cfg, n, strategy, B,
             mean_steps=float(np.mean(steps)),

@@ -17,7 +17,12 @@ Each cost-block gate is tagged (layer, step), the schedule step its edge runs
 in, so the circuit carries its own steps; H and mixer gates are untagged.
 
 Depth here is architecture-independent logical depth: the longest chain of
-gates that pairwise share a qubit, each gate counting 1.
+gates that pairwise share a qubit, each gate counting 1. block_metrics gives
+it and the CNOT count without building a gate. A per-qubit frontier f is 1
+after the H layer; per layer, in step order, a full block sets both endpoints
+to max(f_j, f_k) + 3, a layer-1 reduced block to max(f_parent, f_child + 1) + 1,
+and the mixer adds 1 to every qubit. The depth is max(f); the CNOT count is
+2*m*p, minus n-1 for a tree schedule.
 """
 
 from __future__ import annotations
@@ -77,6 +82,13 @@ class CircuitIR:
         self.n_qubits = n_qubits
         self.gates: tuple[Gate, ...] = tuple(gates)
 
+    @classmethod
+    def _trusted(cls, n_qubits: int, gates: list[Gate]) -> CircuitIR:
+        """No per-gate checks: builder output takes its qubits from Graph edges."""
+        circ = cls.__new__(cls)
+        circ.n_qubits, circ.gates = n_qubits, tuple(gates)
+        return circ
+
     def depth(self) -> int:
         """Longest dependency chain; gates conflict iff they share a qubit."""
         frontier = [0] * self.n_qubits
@@ -114,15 +126,22 @@ def check_circuit_size(n: int, m: int, p: int) -> None:
                          f"more than the cap of {MAX_CIRCUIT_GATES}")
 
 
-def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule,
-            reduced: dict[Edge, tuple[int, int]]) -> CircuitIR:
-    """H layer, then p (cost, mixer) layers; cost blocks run in step order,
-    canonical edge order within a step. In layer 1 the edges in reduced
-    (canonical tree edge -> (parent, child)) lose their leading CNOT."""
+def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[list[Edge], dict]:
+    """Check a synthesis once; return its edges in step order (canonical order
+    within a step) and {canonical tree edge: (parent, child)}, empty if none."""
+    if sched.tree is not None and (violations := verify_schedule(g, sched)):
+        raise ValueError(f"schedule fails verification: {violations[0]}")
     if set(sched.step_of) != set(g.edges):
         raise ValueError("schedule does not cover exactly the graph's edges")
     check_circuit_size(g.n, g.m, params.p)
     order = sorted(g.edges, key=sched.step_of.__getitem__)
+    tree_edges = () if sched.tree is None else sched.tree.discovery_order
+    return order, {canonical_edge(u, v): (u, v) for u, v in tree_edges}
+
+
+def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule) -> CircuitIR:
+    """H layer, then p (cost, mixer) layers of gates in _blocks order."""
+    order, reduced = _blocks(g, params, sched)
     gates: list[Gate] = [Gate("H", (q,)) for q in range(g.n)]
     for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas), start=1):
         for e in order:
@@ -135,14 +154,30 @@ def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule,
                 cx = Gate("CX", e, tag=tag)  # immutable, so both CNOTs share it
                 gates += (cx, Gate("RZ", (e[1],), 2.0 * gamma, tag=tag), cx)
         gates += [Gate("RX", (q,), 2.0 * beta) for q in range(g.n)]
-    return CircuitIR(g.n, gates)
+    return CircuitIR._trusted(g.n, gates)
+
+
+def block_metrics(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[int, int]:
+    """(depth(), cnot_count()) of the schedule's ansatz, from its blocks alone."""
+    order, reduced = _blocks(g, params, sched)
+    f = [1] * g.n
+    for layer in range(1, params.p + 1):
+        for e in order:
+            if layer == 1 and e in reduced:
+                par, child = reduced[e]
+                f[par] = f[child] = max(f[par], f[child] + 1) + 1
+            else:
+                j, k = e
+                f[j] = f[k] = max(f[j], f[k]) + 3
+        f = [x + 1 for x in f]
+    return max(f), 2 * g.m * params.p - len(reduced)
 
 
 def build_traditional(g: Graph, params: AnsatzParams, sched: StepSchedule) -> CircuitIR:
     """Full three-gate block for every edge, in schedule-step order."""
     if sched.tree is not None:
         raise ValueError("expected a traditional schedule, got a tree-ordered one")
-    return _ansatz(g, params, sched, {})
+    return _ansatz(g, params, sched)
 
 
 def build_optimized(g: Graph, params: AnsatzParams, t: RootedSpanningTree,
@@ -155,8 +190,4 @@ def build_optimized(g: Graph, params: AnsatzParams, t: RootedSpanningTree,
     """
     if sched.tree is not t:
         raise ValueError("schedule is not a tree-ordered schedule over this tree")
-    violations = verify_schedule(g, sched)
-    if violations:
-        raise ValueError(f"schedule fails verification: {violations[0]}")
-    return _ansatz(g, params, sched,
-                   {canonical_edge(u, v): (u, v) for u, v in t.discovery_order})
+    return _ansatz(g, params, sched)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treeqaoa import circuits
 from treeqaoa.bench import (
     DEPTH_COLUMNS,
     STRATEGIES,
@@ -128,6 +129,22 @@ def test_average_over_roots_runs():
     ))
     for r_avg, r_flat in zip(rows, flat):
         assert r_avg["mean_steps"] == pytest.approx(r_flat["mean_steps"])
+
+
+def test_depth_sweep_builds_no_gates(monkeypatch):
+    cfg = ExperimentConfig(family="erdos_renyi", p_edge=0.5, n_values=(5, 9), trials=2,
+                           seed=3, strategies=STRATEGIES, B_values=(2, 5),
+                           average_over_roots=True)
+    expected = rows_to_csv(run_depth_experiment(cfg), DEPTH_COLUMNS)
+
+    def no_gates(*args):
+        raise AssertionError("the depth sweep built a gate list")
+
+    monkeypatch.setattr(circuits, "_ansatz", no_gates)
+    assert rows_to_csv(run_depth_experiment(cfg), DEPTH_COLUMNS) == expected
+    with pytest.raises(AssertionError, match="gate list"):
+        build_traditional(generate_cycle(3), AnsatzParams(1, (0.1,), (0.2,)),
+                          schedule_traditional(generate_cycle(3)))
 
 
 def test_success_zero_noise_rows_are_zero():

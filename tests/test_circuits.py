@@ -4,7 +4,8 @@ import pytest
 
 from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import (
-    AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional, check_circuit_size,
+    AnsatzParams, CircuitIR, Gate, block_metrics, build_optimized, build_traditional,
+    check_circuit_size,
 )
 from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
@@ -85,6 +86,16 @@ def test_depth_basics():
     assert c.depth() == 1
     c = CircuitIR(3, [Gate("CX", (0, 1)), Gate("CX", (1, 2))])
     assert c.depth() == 2
+
+
+def test_circuit_ir_checks_user_gates():
+    # builder output skips these checks; gates handed in by a caller do not
+    with pytest.raises(ValueError, match="out of range"):
+        CircuitIR(3, [Gate("H", (3,))])
+    with pytest.raises(ValueError, match="out of range"):
+        CircuitIR(3, [Gate("RZ", (-1,), 0.5)])
+    with pytest.raises(ValueError, match="control equals target"):
+        CircuitIR(3, [Gate("CX", (1, 1))])
 
 
 def _depth_via_dag(circ):
@@ -213,3 +224,59 @@ def test_synthesis_matches_reference_past_128_steps():
     for strategy in STRATEGIES:
         assert schedule_for(g, strategy, 5, 4).num_steps > 128
         _assert_matches_reference(g, strategy, 5, 4, params_for(1), text=True)
+
+
+def _ir_metrics(g, sched, params):
+    circ = circuit_for(g, sched, params)
+    return circ.depth(), circ.cnot_count()
+
+
+def test_block_metrics_match_ir_metrics():
+    # the frontier walk over edge blocks against depth() and cnot_count()
+    # of the gate list, on every strategy
+    rng = np.random.default_rng(909)
+    for _ in range(2000):
+        n = int(rng.integers(2, 41))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.45)), seed=int(rng.integers(2 ** 32)))
+        root, B, p = int(rng.integers(n)), int(rng.integers(1, 11)), int(rng.integers(1, 4))
+        params = params_for(p)
+        for strategy in STRATEGIES:
+            sched = schedule_for(g, strategy, root, B)
+            assert block_metrics(g, params, sched) == _ir_metrics(g, sched, params)
+
+
+def test_block_metrics_past_128_steps():
+    g = generate_complete(130)
+    for strategy in STRATEGIES:
+        sched = schedule_for(g, strategy, 5, 4)
+        assert sched.num_steps > 128
+        for p in (1, 2):
+            assert block_metrics(g, params_for(p), sched) == _ir_metrics(g, sched, params_for(p))
+
+
+def _error(build, *args):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    return str(info.value)
+
+
+def test_block_metrics_refuse_like_the_builders():
+    g = generate_cycle(5)
+    t = build_dfs_tree(g, 0)
+    tree_sched = schedule_tree_ordered(g, t)
+    trad_sched = schedule_traditional(g)
+    reused = dict(tree_sched.step_of)
+    reused[(1, 2)] = reused[(0, 1)]  # child edge reuses its parent's step
+    non_tree = next(e for e in g.edges if e not in t.edge_set())
+    cases = [
+        (StepSchedule(t, reused), params_for(1), "fails verification: incident edges"),
+        (StepSchedule(None, {e: s for e, s in trad_sched.step_of.items() if e != (0, 1)}),
+         params_for(1), "does not cover"),
+        (StepSchedule(t, {e: s for e, s in tree_sched.step_of.items() if e != non_tree}),
+         params_for(1), f"verification: edge {non_tree} has no step"),
+        (trad_sched, params_for(10 ** 6), "cap"),
+    ]
+    for sched, params, expected in cases:
+        message = _error(block_metrics, g, params, sched)
+        assert expected in message
+        assert message == _error(circuit_for, g, sched, params)

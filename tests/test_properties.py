@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeqaoa.bench import STRATEGIES, TREE_STRATEGIES, circuit_for, schedule_for
-from treeqaoa.circuits import AnsatzParams
+from treeqaoa.circuits import AnsatzParams, block_metrics
 from treeqaoa.graphs import Graph, read_edge_list, write_edge_list
 from treeqaoa.oracle import heuristic_gap, step_lower_bounds
 from treeqaoa.scheduling import verify_schedule
@@ -74,6 +74,17 @@ def test_cost_gates_carry_their_schedule_step(case, p):
         runs = [(tag, {q for gate in run for q in gate.qubits})
                 for tag, run in groupby(cost, key=attrgetter("tag"))]
         assert runs == [((layer, s), want[s]) for layer in range(1, p + 1) for s in sorted(want)]
+
+
+@SETTINGS
+@given(synthesis_cases(), st.integers(1, 3))
+def test_block_metrics_match_the_gate_list(case, p):
+    g, root, B = case
+    params = AnsatzParams(p, (0.3,) * p, (0.8,) * p)
+    for strategy in STRATEGIES:
+        sched = schedule_for(g, strategy, root, B)
+        circ = circuit_for(g, sched, params)
+        assert block_metrics(g, params, sched) == (circ.depth(), circ.cnot_count())
 
 
 @SETTINGS
