@@ -9,6 +9,7 @@ grows both with CNOT count and with schedule depth. The depolarizing channel
 with probability p replaces the state of the affected qubits by the maximally
 mixed state, so it scales by 1 - p every r_P whose P is not I on them all:
     D_p(rho) = (1 - p) * rho + p * (I / 2^k) (x) Tr_k(rho).
+Gates and channels are folded: one pass over r per run of CNOTs on one pair.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _PAULI2 = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
 _BUTTERFLY = np.array([[1.0, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]])
 # a Pauli digit's weight i^[digit is Y]
 _PHASE = np.array([1, 1, 1j, 1])
+_I4 = np.eye(4)
 
 MAX_STATEVECTOR_QUBITS = 20
 MAX_DENSITY_QUBITS = 10
@@ -130,8 +132,8 @@ def expected_cut(sv: StateVector, g: Graph) -> float:
 # gate updates the two slices of its qubit's axis in place. The noisy state is
 # r, a contiguous float (4,)*n tensor with axis n-1-q for qubit q, indexed by
 # I, X, Y, Z. There a gate is a real Pauli transfer matrix (PTM), and the
-# depolarizing channel after it scales the PTM's non-identity rows by 1-p, so
-# a gate and its channel are one pass from r into a second buffer.
+# depolarizing channel after it scales the PTM's non-identity rows by 1-p;
+# maps on disjoint qubits commute, so run_noisy can fold them before a pass.
 
 
 def _slot(t: np.ndarray, assignments: list[tuple[int, int]]):
@@ -168,34 +170,33 @@ def _gate_inplace(t: np.ndarray, gate: Gate) -> None:
 
 
 @lru_cache(maxsize=256)
-def _ptm(name: str, angle: float | None) -> np.ndarray:
-    """R[a, b] = Tr(P_a U P_b U^dagger) / 2^k, indexed 4 * control + target
-    digit for CX; rounding residue below 1e-15 is zeroed."""
+def _ptm(name: str, angle: float | None, keep: float = 1.0) -> np.ndarray:
+    """R[a, b] = Tr(P_a U P_b U^dagger) / 2^k, indexed 4 * control + target digit
+    for CX, residue below 1e-15 zeroed; then its channel: rows but the first times keep."""
     U, P = (_CX, _PAULI2) if name == "CX" else (_gate_matrix(name, angle), _PAULI)
     R = np.einsum("aij,jk,bkl,il->ab", P, U, P, U.conj()).real / len(U)
     R[np.abs(R) < 1e-15] = 0.0
+    R[1:] *= keep
     R.flags.writeable = False  # cached: shared by every caller
     return R
 
 
-def _ptm_pass(src: np.ndarray, dst: np.ndarray, qubits: tuple[int, ...],
-              R: np.ndarray, keep: float) -> None:
-    """dst = R src on the size-4 axes of qubits, rows but the first scaled by keep."""
-    scale = np.where(np.arange(len(R)) == 0, 1.0, keep)
+def _ptm_pass(src: np.ndarray, dst: np.ndarray, qubits: tuple[int, ...], R: np.ndarray) -> None:
+    """dst = R src on the size-4 axes of qubits, R indexed 4 * first + second
+    digit for two qubits. A two-qubit pass overwrites src."""
     if len(qubits) == 1:
         # batched over the axes above, or, while the runs below are short, on rows
-        B, R = 4 ** qubits[0], R * scale[:, None]
+        B = 4 ** qubits[0]
         if B >= 16:
             np.matmul(R, src.reshape(-1, 4, B), out=dst.reshape(-1, 4, B))
         else:
             np.matmul(src.reshape(-1, 4 * B), np.kron(R, np.eye(B)).T, out=dst.reshape(-1, 4 * B))
         return
-    # two qubits: R is a signed permutation (a CX), so 16 scaled block copies
+    # two qubits: their axes to the front in dst, one product into src, and back
     axes = [src.ndim - 1 - q for q in qubits]
-    for a, row in enumerate(R):
-        b = np.flatnonzero(row)[0]
-        np.multiply(_slot(src, list(zip(axes, divmod(b, 4)))), row[b] * scale[a],
-                    out=_slot(dst, list(zip(axes, divmod(a, 4)))))
+    np.copyto(dst, np.moveaxis(src, axes, (0, 1)))
+    np.matmul(R, dst.reshape(16, -1), out=src.reshape(16, -1))
+    np.copyto(dst, np.moveaxis(src, (0, 1), axes))
 
 
 def _overlap(r: np.ndarray, psi: np.ndarray, spare: np.ndarray) -> float:
@@ -210,7 +211,7 @@ def _overlap(r: np.ndarray, psi: np.ndarray, spare: np.ndarray) -> float:
     interleave = [axis for j in range(n) for axis in (j, n + j)]
     np.copyto(c.reshape((2,) * (2 * n)), spare.reshape((2,) * (2 * n)).transpose(interleave))
     for q in range(n):
-        _ptm_pass(c, spare, (q,), _BUTTERFLY, 1.0)
+        _ptm_pass(c, spare, (q,), _BUTTERFLY)
         c, spare = spare, c
     np.multiply(r, c, out=c)
     # z = sum_P r_P c_P i^y, contracted one Pauli axis at a time
@@ -226,6 +227,8 @@ def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
 
     Each run of consecutive gates with the same (layer, step) tag is one
     schedule step: after it, every qubit its gates leave untouched idles.
+    F, the 16x16 map owed to the pair of the latest CX, passes over r once a CX
+    on another pair comes; pending[(q,)] is the 4x4 map owed to qubit q after F.
     """
     n = c.n_qubits
     if n > MAX_DENSITY_QUBITS:
@@ -235,18 +238,35 @@ def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
     r = np.zeros((4,) * n)
     r[np.ix_(*[[0, 3]] * n)] = 1.0
     spare = np.empty_like(r)
-    channels = 0
+    idle = np.array([1.0] + [1.0 - noise.p_idle] * 3)[:, None]
+    pending, pair, F, channels, passes = {}, (), None, 0, 0
+    def flush(qubits, R):
+        nonlocal r, spare, passes
+        if qubits:  # no pair before the first CX
+            _ptm_pass(r, spare, qubits, R)
+            r, spare, passes = spare, r, passes + 1
+
     for tag, step in groupby(c.gates, key=attrgetter("tag")):
         busy = set()
         for gate in step:
             p = noise.p_cx if gate.name == "CX" else noise.p_1q
-            _ptm_pass(r, spare, gate.qubits, _ptm(gate.name, gate.angle), 1.0 - p)
-            r, spare = spare, r
+            G = _ptm(gate.name, gate.angle, 1.0 - p)
             channels += p > 0.0
             busy.update(gate.qubits)
+            if len(gate.qubits) == 1:
+                pending[gate.qubits] = G @ pending.get(gate.qubits, _I4)
+                continue
+            if set(pair) != set(gate.qubits):
+                flush(pair, F)
+                pair, F = gate.qubits, np.eye(16)
+            elif pair != gate.qubits:  # the same pair reversed: swap G's digits
+                G = G.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+            F = G @ np.kron(pending.pop(pair[:1], _I4), pending.pop(pair[1:], _I4)) @ F
         for q in set(range(n)) - busy if tag is not None and noise.p_idle else ():
-            r[(slice(None),) * (n - 1 - q) + (slice(1, None),)] *= 1.0 - noise.p_idle
+            pending[(q,)] = idle * pending.get((q,), _I4)
             channels += 1
+    for qubits, R in [(pair, F), *pending.items()]:
+        flush(qubits, R)
 
     ref = float(np.real(np.vdot(psi, psi)))
     if channels == 0:  # the state is psi itself, which scores exactly 1
@@ -254,6 +274,6 @@ def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
     else:  # <psi|rho|psi> = 2^-n sum_P r_P <psi|P|psi>, normalized by both norms
         trace = float(r[(0,) * n])
         p_success = _overlap(r, psi, spare) / 2 ** n / (ref * trace)
-    logger.debug("noisy run: %d channels, |1 - trace| = %.3g, %d state bytes",
-                 channels, abs(1 - trace), 2 * r.nbytes)
+    logger.debug("noisy run: %d channels, |1 - trace| = %.3g, %d state bytes, %d passes",
+                 channels, abs(1 - trace), 2 * r.nbytes, passes)
     return SimResult(p_success=p_success, trace=trace)

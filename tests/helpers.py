@@ -2,11 +2,17 @@
 
 Everything here deliberately avoids the library's tensor kernels: states
 evolve through explicit kron-built full matrices, and channels through
-explicit partial traces, so agreement with the engine is meaningful.
+explicit partial traces, so agreement with the engine is meaningful. The one
+exception is run_noisy_per_gate, the Pauli-transfer engine as it was before
+gates were folded: it keeps its own per-gate passes but shares the library's
+gate PTMs (_ptm) and final overlap (_overlap), which the other references
+check.
 """
 
 import contextlib
 from collections import deque
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -15,7 +21,7 @@ from treeqaoa.graphs import (
 )
 from treeqaoa.oracle import MAX_ORACLE_VERTICES, OracleResult
 from treeqaoa.scheduling import StepSchedule
-from treeqaoa.simulate import SimResult, run_ideal
+from treeqaoa.simulate import MAX_DENSITY_QUBITS, SimResult, _overlap, _ptm, run_ideal
 from treeqaoa.trees import RootedSpanningTree
 
 # a header that declares 10^9 vertices but one edge; only safe to parse
@@ -196,6 +202,61 @@ def run_noisy_dense(c, sched, noise):
         else:
             rho = depolarize_oracle(rho, n, list(event[1]), event[2])
     return _score(c, rho)
+
+
+# ---------------------------------------------------------------------------
+# the Pauli-transfer engine before gates were folded, kept as the slow
+# reference for the folded one: one pass over the 4^n coefficients per gate
+# and its channel, and one in-place scale per idle qubit
+
+
+def ptm_pass_per_gate(src, dst, qubits, R, keep):
+    """dst = R src on the size-4 axes of qubits, rows but the first scaled by
+    keep; for two qubits R must be a signed permutation (a CX)."""
+    scale = np.where(np.arange(len(R)) == 0, 1.0, keep)
+    if len(qubits) == 1:
+        # batched over the axes above, or, while the runs below are short, on rows
+        B, R = 4 ** qubits[0], R * scale[:, None]
+        if B >= 16:
+            np.matmul(R, src.reshape(-1, 4, B), out=dst.reshape(-1, 4, B))
+        else:
+            np.matmul(src.reshape(-1, 4 * B), np.kron(R, np.eye(B)).T, out=dst.reshape(-1, 4 * B))
+        return
+    # two qubits: 16 scaled block copies
+    axes = [src.ndim - 1 - q for q in qubits]
+    for a, row in enumerate(R):
+        b = np.flatnonzero(row)[0]
+        np.multiply(_slot(src, list(zip(axes, divmod(b, 4)))), row[b] * scale[a],
+                    out=_slot(dst, list(zip(axes, divmod(a, 4)))))
+
+
+def run_noisy_per_gate(c, noise):
+    """run_noisy as it was before gates were folded: each gate with its
+    channel is one pass, and each idle qubit of a tagged step one scale."""
+    n = c.n_qubits
+    if n > MAX_DENSITY_QUBITS:
+        raise ValueError(f"too many qubits for density matrix: {n} > {MAX_DENSITY_QUBITS}")
+    psi = run_ideal(c).amplitudes
+    r = np.zeros((4,) * n)
+    r[np.ix_(*[[0, 3]] * n)] = 1.0
+    spare = np.empty_like(r)
+    channels = 0
+    for tag, step in groupby(c.gates, key=attrgetter("tag")):
+        busy = set()
+        for gate in step:
+            p = noise.p_cx if gate.name == "CX" else noise.p_1q
+            ptm_pass_per_gate(r, spare, gate.qubits, _ptm(gate.name, gate.angle), 1.0 - p)
+            r, spare = spare, r
+            channels += p > 0.0
+            busy.update(gate.qubits)
+        for q in set(range(n)) - busy if tag is not None and noise.p_idle else ():
+            r[(slice(None),) * (n - 1 - q) + (slice(1, None),)] *= 1.0 - noise.p_idle
+            channels += 1
+    ref = float(np.real(np.vdot(psi, psi)))
+    if channels == 0:
+        return SimResult(1.0, ref)
+    trace = float(r[(0,) * n])
+    return SimResult(_overlap(r, psi, spare) / 2 ** n / (ref * trace), trace)
 
 
 _PAULI_1Q = [np.eye(2), _X, np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]

@@ -8,6 +8,7 @@ from treeqaoa.circuits import AnsatzParams, CircuitIR, Gate, build_optimized, bu
 from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import schedule_traditional, schedule_tree_ordered
 from treeqaoa.simulate import (
+    MAX_DENSITY_QUBITS,
     NoiseParams,
     StateVector,
     _ptm,
@@ -26,6 +27,7 @@ from helpers import (
     rho_to_pauli,
     run_matrix_oracle,
     run_noisy_dense,
+    run_noisy_per_gate,
     run_noisy_reference,
 )
 
@@ -151,10 +153,15 @@ def test_full_k2_circuit_matches_hand_channel_algebra():
 
 
 def _depolarize(rho, n, qubits, p):
-    """The engine's channel, as the pass of an identity gate on qubits,
-    applied to rho through a rho -> Pauli -> rho round trip."""
+    """The engine's channel, as the pass of an identity gate with its channel
+    on qubits (RZ(0), or a noisy CX after a noiseless one), applied to rho
+    through a rho -> Pauli -> rho round trip."""
+    if len(qubits) == 1:
+        R = _ptm("RZ", 0.0, 1.0 - p)
+    else:
+        R = _ptm("CX", None, 1.0 - p) @ _ptm("CX", None)
     out = np.empty((4,) * n)
-    _ptm_pass(rho_to_pauli(rho, n), out, qubits, np.eye(4 ** len(qubits)), 1.0 - p)
+    _ptm_pass(rho_to_pauli(rho, n), out, qubits, R)
     return pauli_to_rho(out, n)
 
 
@@ -312,3 +319,97 @@ def test_noisy_run_logs_one_debug_record(caplog, capsys):
     assert record.args[0] == 2  # the H channel and the CNOT channel
     assert record.args[1] < 1e-12  # |1 - trace|
     assert record.args[2] == 2 * 8 * 4 ** 2  # two 8 * 4^n-byte buffers
+
+
+def _random_gate_list(rng):
+    """A random circuit that stresses the fold: n from 2 to 9, runs of one to
+    three CNOTs on one pair in either order with 1-qubit gates before, between
+    and after them, pairs on the lowest and on the highest axes as often as
+    elsewhere, and tagged and untagged runs mixed; each noise slot is zero a
+    quarter of the time."""
+    n = int(rng.integers(2, 10))
+    gates = []
+
+    def maybe_1q(pair, tag):
+        if rng.random() < 0.5:
+            name = ("H", "RZ", "RX")[rng.integers(3)]
+            angle = None if name == "H" else float(rng.uniform(-np.pi, np.pi))
+            q = pair[rng.integers(2)] if rng.random() < 0.7 else int(rng.integers(n))
+            gates.append(Gate(name, (q,), angle, tag))
+
+    for _ in range(int(rng.integers(1, 5))):
+        tag = None if rng.random() < 0.3 else (int(rng.integers(1, 3)), int(rng.integers(1, 5)))
+        for _ in range(int(rng.integers(1, 4))):
+            pick = rng.integers(3)
+            if pick == 0:
+                pair = [0, 1]
+            elif pick == 1:
+                pair = [n - 1, n - 2]
+            else:
+                pair = [int(q) for q in rng.choice(n, size=2, replace=False)]
+            for _ in range(int(rng.integers(1, 4))):
+                maybe_1q(pair, tag)
+                gates.append(Gate("CX", tuple(rng.permutation(pair).tolist()), None, tag))
+            maybe_1q(pair, tag)
+    noise = NoiseParams(*(float(x) if rng.random() > 0.25 else 0.0 for x in rng.uniform(0, 0.2, 3)))
+    return CircuitIR(n, gates), noise
+
+
+def test_folded_engine_matches_per_gate_engine():
+    # the engine before gates were folded, one pass per gate, on 1000 seeded runs
+    rng = np.random.default_rng(1010)
+    for _ in range(1000):
+        circ, noise = _random_gate_list(rng)
+        got, want = run_noisy(circ, noise), run_noisy_per_gate(circ, noise)
+        assert got.p_success == pytest.approx(want.p_success, abs=1e-12)
+        assert got.trace == pytest.approx(want.trace, abs=1e-12)
+        if not (noise.p_cx or noise.p_1q or noise.p_idle):
+            assert got.p_success == want.p_success == 1.0
+
+
+def test_two_qubit_pass_on_every_pair():
+    # a dense 16x16 map, row 4 * (first digit) + second, against tensordot
+    rng = np.random.default_rng(16)
+    n = 5
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            R, r = rng.normal(size=(16, 16)), rng.normal(size=(4,) * n)
+            src, dst = r.copy(), np.empty_like(r)
+            _ptm_pass(src, dst, (a, b), R)
+            axes = (n - 1 - a, n - 1 - b)
+            want = np.tensordot(R.reshape(4, 4, 4, 4), r, axes=((2, 3), axes))
+            assert np.allclose(dst, np.moveaxis(want, (0, 1), axes), rtol=0, atol=1e-12)
+
+
+def _debug_record(caplog, circ, noise):
+    with caplog.at_level(logging.DEBUG, logger="treeqaoa.simulate"):
+        result = run_noisy(circ, noise)
+    (record,) = [r for r in caplog.records if r.name == "treeqaoa.simulate"]
+    return result, record
+
+
+def test_noisy_run_counts_its_passes(caplog):
+    # the H layer folds into the first CNOT pass, and so do the RZ and the
+    # reversed CNOT on the same pair; CX(1, 2) is a second pass, which takes
+    # in qubit 2's H and its idle scale; the idle scale of qubit 0 and the RX
+    # layer are one 1-qubit pass per qubit: 5 passes, where one per gate
+    # would be 10
+    gates = [Gate("H", (q,)) for q in range(3)]
+    gates += [Gate("CX", (0, 1), tag=(1, 1)), Gate("RZ", (1,), 0.4, (1, 1)),
+              Gate("CX", (1, 0), tag=(1, 1)), Gate("CX", (1, 2), tag=(1, 2))]
+    gates += [Gate("RX", (q,), 0.6) for q in range(3)]
+    _, record = _debug_record(caplog, CircuitIR(3, gates), NoiseParams())
+    assert record.args[0] == 12  # ten gate channels and two idle ones
+    assert record.args[3] == 5
+
+
+def test_noisy_run_at_the_qubit_bound(caplog):
+    # the largest allowed density run still holds only two state buffers
+    g = generate_cycle(MAX_DENSITY_QUBITS)
+    circ = build_traditional(g, AnsatzParams(1, (0.4,), (0.7,)), schedule_traditional(g))
+    result, record = _debug_record(caplog, circ, NoiseParams())
+    assert abs(1 - result.trace) < 1e-9
+    assert 0.0 < result.p_success < 1.0
+    assert record.args[2] == 2 * 8 * 4 ** 10
