@@ -1,8 +1,8 @@
 """Exhaustive minimum-step search on tiny graphs.
 
-For a fixed root, every spanning tree is enumerated (recursive edge
-include/exclude with connectivity pruning); the only bound on the search
-is n <= MAX_ORACLE_VERTICES = 8, which caps it at K8's 8^6 = 262,144 trees.
+For a fixed root, spanning trees are searched by recursive edge
+include/exclude with connectivity pruning; the only bound on the input is
+n <= MAX_ORACLE_VERTICES = 8 (K8 has 8^6 = 262,144 spanning trees).
 For each tree, the minimum number of steps decomposes into two independent
 parts: an exact branch-and-bound coloring of the tree edges (incident edges
 and tree-ancestor edges must differ) plus an exact edge-chromatic number of
@@ -10,19 +10,25 @@ the leftover edges, which are constrained to run strictly after the whole
 tree phase. The global minimum over trees is the ground truth against
 which the greedy heuristic is measured.
 
-A tree is skipped uncolored when its lower bounds (``step_lower_bounds``)
-sum to at least the best total so far; each coloring looks only below what
-would beat it. The witness is the first tree, in enumeration order, of
-minimum total, with each phase's lexicographically first minimum coloring.
+A branch of the recursion is abandoned once two lower bounds that only
+grow down it reach the best total so far; a finished tree is skipped
+uncolored when its full bounds (``step_lower_bounds``) do, and each
+coloring looks only below what would beat it. The witness is the first
+tree, in enumeration order, of minimum total, with each phase's
+lexicographically first minimum coloring. ``trees_enumerated`` counts
+every spanning tree, searched or not, by the matrix-tree theorem.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, canonical_edge
+from .graphs import Graph, canonical_edge
 from .scheduling import StepSchedule, schedule_tree_ordered
 from .trees import HeuristicConfig, RootedSpanningTree, build_greedy_tree
+
+logger = logging.getLogger(__name__)
 
 MAX_ORACLE_VERTICES = 8
 # _BITS[mask]: the set bits of a vertex mask, ascending
@@ -37,38 +43,21 @@ class OracleResult:
     trees_enumerated: int
 
 
-def _spanning_trees(edges: tuple[Edge, ...], adj: list[int]):
-    """Yield spanning trees as per-vertex neighbor bitmasks, with pruning.
-
-    A branch is abandoned once ``avail`` (chosen plus undecided edges) no
-    longer connects the graph, which only excluding an edge can cause.
-    The yielded list is reused until the next tree is requested.
-    """
+def _tree_count(adj: list[int]) -> int:
+    """Spanning trees of a connected graph of neighbor bitmasks (Kirchhoff):
+    the determinant of its Laplacian without vertex 0, by fraction-free
+    Bareiss elimination in ints. That minor is positive definite, so no
+    pivot is zero and no row needs swapping."""
     n = len(adj)
-    avail = adj.copy()
-    tree = [0] * n
-    parent = list(range(n))
-
-    def rec(i: int, size: int):
-        if size == n - 1:
-            yield tree
-            return
-        if i == len(edges):
-            return
-        u, v = edges[i]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            tree[u], tree[v] = tree[u] ^ 1 << v, tree[v] ^ 1 << u
-            yield from rec(i + 1, size + 1)
-            tree[u], tree[v] = tree[u] ^ 1 << v, tree[v] ^ 1 << u
-            parent[ru] = ru
-        avail[u], avail[v] = avail[u] ^ 1 << v, avail[v] ^ 1 << u
-        if _reachable(avail, u, v):
-            yield from rec(i + 1, size)
-        avail[u], avail[v] = avail[u] ^ 1 << v, avail[v] ^ 1 << u
-
-    yield from rec(0, 0)
+    a = [[adj[i].bit_count() if i == j else -(adj[i] >> j & 1) for j in range(1, n)]
+         for i in range(1, n)]
+    pivot = 1
+    for k in range(n - 1):
+        for i in range(k + 1, n - 1):
+            for j in range(k + 1, n - 1):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // pivot
+        pivot = a[k][k]
+    return pivot
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -111,10 +100,16 @@ def step_lower_bounds(adj: list[int], tree: list[int], level: list[int],
     adj and tree are neighbor bitmasks of the graph and a spanning tree,
     level its levels from root. The edges on v's root path and v's child
     edges pairwise conflict, so the tree phase needs max_v(level(v) +
-    children(v)) steps; the leftover phase needs its maximum degree.
+    children(v)) steps. The leftover phase needs its maximum degree D, and
+    D + 1 when it is overfull: each step is a matching, at most floor(k/2)
+    edges on k vertices, so more than D * floor(k/2) edges on its k
+    non-isolated vertices, or on all but one of least degree, need more.
     """
     lb_tree = max(level[v] + t.bit_count() - (v != root) for v, t in enumerate(tree))
-    lb_rest = max((a & ~t).bit_count() for a, t in zip(adj, tree))
+    degrees = [d for d in ((a & ~t).bit_count() for a, t in zip(adj, tree)) if d]
+    lb_rest, m, k = max(degrees, default=0), sum(degrees) // 2, len(degrees)
+    if m > lb_rest * (k // 2) or m - min(degrees, default=0) > lb_rest * ((k - 1) // 2):
+        lb_rest += 1
     return lb_tree, lb_rest
 
 
@@ -170,28 +165,66 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
 
-    adj = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
+    n, edges = g.n, g.edges
+    adj = [sum(1 << w for w in g.adjacency[v]) for v in range(n)]
+    # v's term of the tree-phase bound, less its tree degree so far: its
+    # level in any tree is at least its distance from the root
+    dist, _ = _root(adj, root)
+    base = [d - (v != root) for v, d in enumerate(dist)]
     best_total = g.m + 1  # above every tree's total, so the first tree wins
     best: StepSchedule | None = None
-    for trees_seen, tree in enumerate(_spanning_trees(g.edges, adj), 1):
-        level, order = _root(tree, root)
-        lb_tree, lb_rest = step_lower_bounds(adj, tree, level, root)
-        if lb_tree + lb_rest >= best_total:
-            continue
-        tree_min, tree_colors = _min_coloring(order, g.n, True, lb_tree, best_total - lb_rest)
-        if tree_colors is None:
-            continue
-        rest = [(u, v) for u, v in g.edges if not tree[u] >> v & 1]
-        rest_min, rest_colors = _min_coloring(rest, g.n, False, lb_rest, best_total - tree_min)
-        if rest_colors is not None:
-            step_of = {canonical_edge(u, v): c for (u, v), c in zip(order, tree_colors)}
-            step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
-            best_total = tree_min + rest_min
-            best = StepSchedule(RootedSpanningTree(root, tuple(order)), step_of)
+    avail, tree, parent = adj.copy(), [0] * n, list(range(n))
+    leaves = colored = 0
 
+    def rec(i: int, size: int, lb_tree: int, lb_rest: int) -> None:
+        """Search the trees that extend the first i edges' choices.
+
+        avail holds the chosen and undecided edges and always connects the
+        graph, so edges remain while size < n - 1. lb_tree is max_v of
+        base(v) + tree degree(v), lb_rest the largest excluded degree; both
+        only grow down the branch and bound its finished trees' bounds.
+        """
+        nonlocal best_total, best, leaves, colored
+        if size == n - 1:
+            leaves += 1
+            level, order = _root(tree, root)
+            lb_tree, lb_rest = step_lower_bounds(adj, tree, level, root)
+            if lb_tree + lb_rest >= best_total:
+                return
+            colored += 1
+            tree_min, tree_colors = _min_coloring(order, n, True, lb_tree, best_total - lb_rest)
+            if tree_colors is None:
+                return
+            rest = [(u, v) for u, v in edges if not tree[u] >> v & 1]
+            rest_min, rest_colors = _min_coloring(rest, n, False, lb_rest, best_total - tree_min)
+            if rest_colors is not None:
+                step_of = {canonical_edge(u, v): c for (u, v), c in zip(order, tree_colors)}
+                step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
+                best_total = tree_min + rest_min
+                best = StepSchedule(RootedSpanningTree(root, tuple(order)), step_of)
+            return
+        u, v = edges[i]
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            tree[u], tree[v] = tree[u] ^ 1 << v, tree[v] ^ 1 << u
+            lb = max(lb_tree, base[u] + tree[u].bit_count(), base[v] + tree[v].bit_count())
+            if lb + lb_rest < best_total:
+                parent[ru] = rv
+                rec(i + 1, size + 1, lb, lb_rest)
+                parent[ru] = ru
+            tree[u], tree[v] = tree[u] ^ 1 << v, tree[v] ^ 1 << u
+        avail[u], avail[v] = avail[u] ^ 1 << v, avail[v] ^ 1 << u
+        lb = max(lb_rest, (adj[u] ^ avail[u]).bit_count(), (adj[v] ^ avail[v]).bit_count())
+        if lb_tree + lb < best_total and _reachable(avail, u, v):
+            rec(i + 1, size, lb_tree, lb)
+        avail[u], avail[v] = avail[u] ^ 1 << v, avail[v] ^ 1 << u
+
+    rec(0, 0, max(dist), 0)
+    trees = _tree_count(adj)
+    logger.debug("oracle: %d trees counted, %d reached a leaf, %d colored",
+                 trees, leaves, colored)
     assert best is not None
-    return OracleResult(best_steps=best_total, witness_schedule=best,
-                        trees_enumerated=trees_seen)
+    return OracleResult(best_steps=best_total, witness_schedule=best, trees_enumerated=trees)
 
 
 def heuristic_gap(g: Graph, root: int, cfg: HeuristicConfig) -> tuple[int, int]:

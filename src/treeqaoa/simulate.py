@@ -274,6 +274,7 @@ def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
     else:  # <psi|rho|psi> = 2^-n sum_P r_P <psi|P|psi>, normalized by both norms
         trace = float(r[(0,) * n])
         p_success = _overlap(r, psi, spare) / 2 ** n / (ref * trace)
+    # peak state bytes: r and spare, and _overlap's c when it runs
     logger.debug("noisy run: %d channels, |1 - trace| = %.3g, %d state bytes, %d passes",
-                 channels, abs(1 - trace), 2 * r.nbytes, passes)
+                 channels, abs(1 - trace), (3 if channels else 2) * r.nbytes, passes)
     return SimResult(p_success=p_success, trace=trace)

@@ -1,12 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
 from treeqaoa.graphs import (
-    Graph, canonical_edge, generate_complete, generate_cycle, generate_erdos_renyi,
+    Graph, canonical_edge, edges_connected, generate_complete, generate_cycle,
+    generate_erdos_renyi,
 )
 from treeqaoa.oracle import (
+    _tree_count,
     heuristic_gap,
     solve_exact,
+    step_lower_bounds,
 )
 from treeqaoa.scheduling import schedule_tree_ordered, verify_schedule
 from treeqaoa.trees import HeuristicConfig, build_greedy_tree
@@ -16,6 +21,24 @@ from helpers import solve_exact_reference
 
 def star(k):
     return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def masks(n, edges):
+    """Per-vertex neighbor bitmasks of an edge list."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def gnm(rng, n, m):
+    """A connected G(n, m) graph: m distinct pairs drawn uniformly."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        edges = [pairs[j] for j in rng.choice(len(pairs), size=m, replace=False)]
+        if edges_connected(n, edges):
+            return Graph(n, edges)
 
 
 def test_star_center_forces_full_serialization():
@@ -128,3 +151,66 @@ def test_matches_reference_oracle():
                 assert fast.witness_schedule.step_of == slow.witness_schedule.step_of
                 assert verify_schedule(g, fast.witness_schedule) == []
     assert graphs >= 1000
+
+
+def test_kirchhoff_tree_count():
+    for n in range(2, 9):  # Cayley: K_n has n^(n-2) spanning trees
+        assert _tree_count(masks(n, generate_complete(n).edges)) == n ** (n - 2)
+    for n in range(3, 9):
+        assert _tree_count(masks(n, generate_cycle(n).edges)) == n
+    assert _tree_count(masks(6, [(v, v + 1) for v in range(5)])) == 1
+    assert _tree_count(masks(1, [])) == 1
+    k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+    assert _tree_count(masks(6, k33)) == 81  # m^(n-1) n^(m-1) for K_{m,n}
+
+
+def test_overfull_leftover_bound():
+    # K4 less the star at 0 leaves a triangle: maximum degree 2, yet its
+    # three edges need three matchings of one edge each
+    adj = masks(4, generate_complete(4).edges)
+    star_tree = masks(4, [(0, 1), (0, 2), (0, 3)])
+    assert step_lower_bounds(adj, star_tree, [0, 1, 1, 1], 0) == (3, 3)
+    # K8 less a tree leaves degrees [2, 5, 5, 6, 6, 6, 6, 6]: 21 edges fit
+    # 6 matchings of 4, but without vertex 0 its 19 edges on 7 vertices
+    # exceed 6 matchings of 3, so the leftover needs 7 steps
+    adj = masks(8, generate_complete(8).edges)
+    tree = masks(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 7)])
+    assert step_lower_bounds(adj, tree, [0, 1, 1, 1, 1, 1, 2, 2], 0) == (5, 7)
+    # C4 less a path leaves one edge, which is not overfull
+    adj = masks(4, generate_cycle(4).edges)
+    path = masks(4, [(0, 1), (1, 2), (2, 3)])
+    assert step_lower_bounds(adj, path, [0, 1, 2, 3], 0) == (3, 1)
+
+
+def test_k8_logs_the_pruned_search(caplog):
+    with caplog.at_level(logging.DEBUG, logger="treeqaoa.oracle"):
+        result = solve_exact(generate_complete(8), 0)
+    assert (result.trees_enumerated, result.best_steps) == (262144, 9)
+    (record,) = [r for r in caplog.records if r.name == "treeqaoa.oracle"]
+    assert record.levelno == logging.DEBUG
+    counted, leaves, colored = record.args
+    assert counted == 262144
+    assert 0 < colored <= leaves < counted
+
+
+def test_matches_reference_oracle_at_eight_vertices():
+    # G(8, 0.3), G(8, 0.5) and the benchmark's G(7, 13), one seeded root
+    # each: every field must equal the unbounded reference search's. The
+    # reference colors every tree in full, which takes it 1-45 s on one
+    # G(8, 0.5) draw of 17-21 edges, so draws above 16 edges are redrawn
+    rng = np.random.default_rng(2027)
+
+    def er8(p):
+        while (g := generate_erdos_renyi(8, p, seed=int(rng.integers(10 ** 6)))).m > 16:
+            pass
+        return g
+
+    graphs = [er8(p) for p in (0.3, 0.5) for _ in range(50)] + [gnm(rng, 7, 13) for _ in range(50)]
+    for g in graphs:
+        root = int(rng.integers(g.n))
+        fast, slow = solve_exact(g, root), solve_exact_reference(g, root)
+        assert fast.best_steps == slow.best_steps
+        assert fast.trees_enumerated == slow.trees_enumerated
+        assert fast.witness_schedule.tree == slow.witness_schedule.tree
+        assert fast.witness_schedule.step_of == slow.witness_schedule.step_of
+    assert len(graphs) >= 150

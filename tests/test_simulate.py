@@ -318,7 +318,7 @@ def test_noisy_run_logs_one_debug_record(caplog, capsys):
     assert record.levelno == logging.DEBUG
     assert record.args[0] == 2  # the H channel and the CNOT channel
     assert record.args[1] < 1e-12  # |1 - trace|
-    assert record.args[2] == 2 * 8 * 4 ** 2  # two 8 * 4^n-byte buffers
+    assert record.args[2] == 3 * 8 * 4 ** 2  # three 8 * 4^n-byte buffers at the peak
 
 
 def _random_gate_list(rng):
@@ -406,10 +406,10 @@ def test_noisy_run_counts_its_passes(caplog):
 
 
 def test_noisy_run_at_the_qubit_bound(caplog):
-    # the largest allowed density run still holds only two state buffers
+    # the largest allowed density run peaks at three state buffers
     g = generate_cycle(MAX_DENSITY_QUBITS)
     circ = build_traditional(g, AnsatzParams(1, (0.4,), (0.7,)), schedule_traditional(g))
     result, record = _debug_record(caplog, circ, NoiseParams())
     assert abs(1 - result.trace) < 1e-9
     assert 0.0 < result.p_success < 1.0
-    assert record.args[2] == 2 * 8 * 4 ** 10
+    assert record.args[2] == 3 * 8 * 4 ** 10
