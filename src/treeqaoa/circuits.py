@@ -129,10 +129,8 @@ def check_circuit_size(n: int, m: int, p: int) -> None:
 def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[list[Edge], dict]:
     """Check a synthesis once; return its edges in step order (canonical order
     within a step) and {canonical tree edge: (parent, child)}, empty if none."""
-    if sched.tree is not None and (violations := verify_schedule(g, sched)):
+    if violations := verify_schedule(g, sched):
         raise ValueError(f"schedule fails verification: {violations[0]}")
-    if set(sched.step_of) != set(g.edges):
-        raise ValueError("schedule does not cover exactly the graph's edges")
     check_circuit_size(g.n, g.m, params.p)
     order = sorted(g.edges, key=sched.step_of.__getitem__)
     tree_edges = () if sched.tree is None else sched.tree.discovery_order

@@ -74,6 +74,8 @@ def _ansatz_params(args, g: Graph) -> AnsatzParams:
         gammas = tuple(float(x) for x in args.gamma.split(","))
         betas = tuple(float(x) for x in args.beta.split(","))
         return AnsatzParams(p=len(gammas), gammas=gammas, betas=betas)
+    if args.p < 1:  # AnsatzParams' own check, before numpy sees a negative size
+        raise ValueError(f"p must be >= 1, got {args.p}")
     check_circuit_size(g.n, g.m, args.p)  # before drawing 2p angles
     rng = np.random.default_rng(args.angle_seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=2 * args.p)

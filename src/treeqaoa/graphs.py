@@ -71,9 +71,9 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj
-        )
+        # already ascending: the sorted edges list each vertex's smaller
+        # neighbours (as (w, x) edges) before its larger ones (as (x, v))
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         if not edges_connected(n, self.edges):
             raise GraphError("graph is not connected")
 

@@ -12,7 +12,6 @@ free at both of its endpoints.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, canonical_edge
@@ -102,58 +101,49 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
     Checks that every graph edge has a step, that edges sharing a vertex
     never share a step, and (for tree-ordered schedules) that no tree edge
     reuses a step of any of its tree ancestors and that every non-tree edge
-    comes strictly after the whole tree phase. Never raises.
+    comes strictly after the whole tree phase. Linear time; never raises.
     """
-    violations: list[str] = []
-    missing = set(g.edges) - set(sched.step_of)
-    for e in sorted(missing):
-        violations.append(f"edge {e} has no step")
-    extra = set(sched.step_of) - set(g.edges)
-    for e in sorted(extra):
-        violations.append(f"scheduled edge {e} not in graph")
+    step_of = sched.step_of
+    scheduled = [(e, step_of[e]) for e in g.edges if e in step_of]
+    violations = [f"edge {e} has no step" for e in g.edges if e not in step_of]
+    if len(step_of) > len(scheduled):  # keys that are not graph edges
+        violations += [f"scheduled edge {e} not in graph"
+                       for e in sorted(step_of.keys() - set(g.edges))]
 
-    scheduled = [e for e in g.edges if e in sched.step_of]
-    by_step: dict[int, list[Edge]] = defaultdict(list)
-    for e in scheduled:
-        by_step[sched.step_of[e]].append(e)
-    for s in sorted(by_step):
-        owner: dict[int, Edge] = {}
-        for e in by_step[s]:
-            for vtx in e:
-                if vtx in owner:
-                    violations.append(
-                        f"incident edges {owner[vtx]} and {e} share step {s}"
-                    )
-                else:
-                    owner[vtx] = e
+    # one pass with each vertex's {step: first edge}; the stable sort lists
+    # clashes by step, in canonical order within a step
+    first: list[dict[int, Edge]] = [{} for _ in range(g.n)]
+    clashes = []
+    for e, s in scheduled:
+        for vtx in e:
+            if (owner := first[vtx].setdefault(s, e)) is not e:  # another edge holds s
+                clashes.append((s, f"incident edges {owner} and {e} share step {s}"))
+    violations += [message for _s, message in sorted(clashes, key=lambda c: c[0])]
 
     t = sched.tree
     if t is not None:
         tree_edges = t.edge_set()
-        if not tree_edges <= set(sched.step_of):
-            violations.append("tree edge missing from schedule")
-            return violations
-        # ancestor chain of a tree edge (u, v): the tree edges on the
-        # root-to-u path
-        for u, v in t.discovery_order:
-            e = canonical_edge(u, v)
-            node = u
-            while t.parent[node] is not None:
-                p = t.parent[node]
-                anc = canonical_edge(p, node)
-                if sched.step_of[anc] == sched.step_of[e]:
-                    violations.append(
-                        f"tree edge {e} reuses step {sched.step_of[e]} "
-                        f"of its ancestor {anc}"
-                    )
-                node = p
-        max_tree_step = sched.tree_steps()
-        for e in scheduled:
-            if e not in tree_edges and sched.step_of[e] <= max_tree_step:
-                violations.append(
-                    f"non-tree edge {e} at step {sched.step_of[e]} does not "
-                    f"follow the tree phase (last tree step {max_tree_step})"
-                )
+        if not all(e in step_of for e in tree_edges):
+            return violations + ["tree edge missing from schedule"]
+        # path[v]: a bit per step on the root-to-v tree path, indexed by the
+        # step's dense rank, so a step of any size costs one bit
+        tree_step = [step_of[canonical_edge(u, v)] for u, v in t.discovery_order]
+        rank = {s: i for i, s in enumerate(sorted(set(tree_step)))}
+        path = [0] * t.n
+        for (u, v), s in zip(t.discovery_order, tree_step):
+            if path[u] >> rank[s] & 1:  # walk the ancestor chain only to word it
+                node = u
+                while (p := t.parent[node]) is not None:
+                    anc = canonical_edge(p, node)
+                    if step_of[anc] == s:
+                        violations.append(f"tree edge {canonical_edge(u, v)} reuses step {s} "
+                                          f"of its ancestor {anc}")
+                    node = p
+            path[v] = path[u] | 1 << rank[s]
+        last = max(tree_step, default=0)
+        violations += [f"non-tree edge {e} at step {s} does not follow the tree phase "
+                       f"(last tree step {last})"
+                       for e, s in scheduled if s <= last and e not in tree_edges]
     return violations
 
 

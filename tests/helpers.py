@@ -10,7 +10,7 @@ check.
 """
 
 import contextlib
-from collections import deque
+from collections import defaultdict, deque
 from itertools import groupby
 from operator import attrgetter
 
@@ -382,6 +382,60 @@ def schedule_reference(g, t=None):
         if (u, v) not in step_of:
             step_of[(u, v)] = _probe(used_at, u, v, start)
     return step_of
+
+
+def verify_schedule_reference(g, sched):
+    """verify_schedule as it was before the linear rewrite: edges grouped by
+    step in a dict of lists, and every tree edge's ancestor chain walked."""
+    violations = []
+    missing = set(g.edges) - set(sched.step_of)
+    for e in sorted(missing):
+        violations.append(f"edge {e} has no step")
+    extra = set(sched.step_of) - set(g.edges)
+    for e in sorted(extra):
+        violations.append(f"scheduled edge {e} not in graph")
+
+    scheduled = [e for e in g.edges if e in sched.step_of]
+    by_step = defaultdict(list)
+    for e in scheduled:
+        by_step[sched.step_of[e]].append(e)
+    for s in sorted(by_step):
+        owner = {}
+        for e in by_step[s]:
+            for vtx in e:
+                if vtx in owner:
+                    violations.append(
+                        f"incident edges {owner[vtx]} and {e} share step {s}"
+                    )
+                else:
+                    owner[vtx] = e
+
+    t = sched.tree
+    if t is not None:
+        tree_edges = t.edge_set()
+        if not tree_edges <= set(sched.step_of):
+            violations.append("tree edge missing from schedule")
+            return violations
+        for u, v in t.discovery_order:
+            e = canonical_edge(u, v)
+            node = u
+            while t.parent[node] is not None:
+                p = t.parent[node]
+                anc = canonical_edge(p, node)
+                if sched.step_of[anc] == sched.step_of[e]:
+                    violations.append(
+                        f"tree edge {e} reuses step {sched.step_of[e]} "
+                        f"of its ancestor {anc}"
+                    )
+                node = p
+        max_tree_step = sched.tree_steps()
+        for e in scheduled:
+            if e not in tree_edges and sched.step_of[e] <= max_tree_step:
+                violations.append(
+                    f"non-tree edge {e} at step {sched.step_of[e]} does not "
+                    f"follow the tree phase (last tree step {max_tree_step})"
+                )
+    return violations
 
 
 def ansatz_reference(g, params, step_of, t=None):

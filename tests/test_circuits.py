@@ -271,7 +271,7 @@ def test_block_metrics_refuse_like_the_builders():
     cases = [
         (StepSchedule(t, reused), params_for(1), "fails verification: incident edges"),
         (StepSchedule(None, {e: s for e, s in trad_sched.step_of.items() if e != (0, 1)}),
-         params_for(1), "does not cover"),
+         params_for(1), "verification: edge (0, 1) has no step"),
         (StepSchedule(t, {e: s for e, s in tree_sched.step_of.items() if e != non_tree}),
          params_for(1), f"verification: edge {non_tree} has no step"),
         (trad_sched, params_for(10 ** 6), "cap"),
@@ -280,3 +280,13 @@ def test_block_metrics_refuse_like_the_builders():
         message = _error(block_metrics, g, params, sched)
         assert expected in message
         assert message == _error(circuit_for, g, sched, params)
+
+
+def test_traditional_incident_clash_is_refused():
+    # every 4-cycle edge at step 1, so each vertex meets two edges in one step
+    g = generate_cycle(4)
+    sched = StepSchedule(None, {e: 1 for e in g.edges})
+    expected = "schedule fails verification: incident edges (0, 1) and (0, 3) share step 1"
+    assert _error(build_traditional, g, params_for(1), sched) == expected
+    assert _error(block_metrics, g, params_for(1), sched) == expected
+    assert _error(circuit_for, g, sched, params_for(1)) == expected

@@ -200,6 +200,16 @@ def test_layer_count_cap_exits_nonzero(tmp_path, capsys):
             assert "error:" in capsys.readouterr().err
 
 
+def test_nonpositive_layer_count_exits_nonzero(tmp_path, capsys):
+    # refused with AnsatzParams' text before any angle is drawn
+    cycle = tmp_path / "c5.txt"
+    assert main(["gen", "--family", "cycle", "--n", "5", "--out", str(cycle)]) == 0
+    for p in ("-1", "0"):
+        for command in ("circuit", "simulate"):
+            assert main([command, str(cycle), "--p", p]) == 1
+            assert capsys.readouterr().err == f"error: p must be >= 1, got {p}\n"
+
+
 def test_stdout_fallback(graph_file, capsys):
     assert main(["tree", graph_file, "--strategy", "bfs"]) == 0
     assert capsys.readouterr().out.startswith("root 0")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treeqaoa.bench import STRATEGIES, schedule_for
 from treeqaoa.graphs import Graph, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import (
     StepSchedule,
@@ -11,7 +12,7 @@ from treeqaoa.scheduling import (
 )
 from treeqaoa.trees import HeuristicConfig, build_bfs_tree, build_dfs_tree, build_greedy_tree
 
-from helpers import tree_from_edges
+from helpers import address_space_cap, tree_from_edges, verify_schedule_reference
 
 
 def test_traditional_cycles():
@@ -126,6 +127,47 @@ def test_verify_flags_nontree_before_tree_phase():
     bad[(0, 3)] = 1  # the non-tree edge, shoved into the tree phase
     broken = StepSchedule(t, bad)
     assert any("tree phase" in v for v in verify_schedule(g, broken))
+
+
+def _corrupt(rng, g, step_of):
+    """A copy of step_of with one to four of: an edge re-stepped, an edge
+    dropped, a non-graph edge added, a step set to -1, 0 or 10^12."""
+    step_of = dict(step_of)
+    last = max(step_of.values())
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(4))
+        e = g.edges[int(rng.integers(g.m))]
+        if kind == 0:
+            step_of[e] = int(rng.integers(1, last + 1))
+        elif kind == 1:
+            step_of.pop(e, None)
+        elif kind == 2:
+            u, v = sorted(int(x) for x in rng.choice(g.n + 2, size=2, replace=False))
+            step_of[(u, v)] = int(rng.integers(1, last + 1))
+        else:
+            step_of[e] = (-1, 0, 10 ** 12)[int(rng.integers(3))]
+    return step_of
+
+
+def test_verify_matches_reference_on_corrupted_schedules():
+    # full message lists against the ancestor-walking reference; the cap
+    # turns a per-step allocation for a step of 10^12 into MemoryError
+    rng = np.random.default_rng(1212)
+    seen = dict.fromkeys(["has no step", "not in graph", "share step", "of its ancestor",
+                          "tree edge missing", "tree phase"], 0)
+    with address_space_cap(256 << 20):
+        for _ in range(2000):
+            n = int(rng.integers(2, 31))
+            g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.8)),
+                                     seed=int(rng.integers(2 ** 32)))
+            for strategy in STRATEGIES:
+                sched = schedule_for(g, strategy, int(rng.integers(n)), int(rng.integers(1, 6)))
+                broken = StepSchedule(sched.tree, _corrupt(rng, g, sched.step_of))
+                expected = verify_schedule_reference(g, broken)
+                assert verify_schedule(g, broken) == expected
+                for key in seen:
+                    seen[key] += sum(key in message for message in expected)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_steps_bounds():
