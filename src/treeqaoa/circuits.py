@@ -131,10 +131,19 @@ def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[list[E
     within a step) and {canonical tree edge: (parent, child)}, empty if none."""
     if violations := verify_schedule(g, sched):
         raise ValueError(f"schedule fails verification: {violations[0]}")
+    # a dropped CNOT is the identity only while its child is still in |+>,
+    # so each tree edge must also run after its parent edge
+    step_of = sched.step_of
+    reduced: dict[Edge, tuple[int, int]] = {}
+    up: dict[int, Edge] = {}  # each child's own tree edge
+    for u, v in () if sched.tree is None else sched.tree.discovery_order:
+        e = up[v] = canonical_edge(u, v)
+        if u in up and step_of[e] <= step_of[up[u]]:
+            raise ValueError(f"schedule fails verification: tree edge {e} at step {step_of[e]} "
+                             f"does not follow its parent edge {up[u]} at step {step_of[up[u]]}")
+        reduced[e] = (u, v)
     check_circuit_size(g.n, g.m, params.p)
-    order = sorted(g.edges, key=sched.step_of.__getitem__)
-    tree_edges = () if sched.tree is None else sched.tree.discovery_order
-    return order, {canonical_edge(u, v): (u, v) for u, v in tree_edges}
+    return sorted(g.edges, key=step_of.__getitem__), reduced
 
 
 def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule) -> CircuitIR:

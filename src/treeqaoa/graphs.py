@@ -2,7 +2,8 @@
 
 Vertices are dense 0-based integers. Edges are stored canonically as (u, v)
 with u < v, sorted. All algorithms in this package assume the graph is
-connected; the constructor enforces it.
+connected. Graph(n, edges) alone decides whether pairs form such a graph;
+the generators and the edge-list parser hand it their pairs like any caller.
 
 Randomness comes from numpy's ``default_rng`` (PCG64), so any generator
 output is reproducible across platforms for a fixed seed.
@@ -29,7 +30,12 @@ MAX_ER_REJECTIONS = 1000
 
 
 class GraphError(ValueError):
-    """Raised for malformed, disconnected, or otherwise invalid graph input."""
+    """Raised for malformed, disconnected, or otherwise invalid graph input;
+    index is the position of the offending edge in the input, or None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -54,12 +60,12 @@ class Graph:
         seen: dict[Edge, None] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+                raise GraphError(f"edge ({u}, {v}) out of range for n={n}", len(seen))
             if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
+                raise GraphError(f"self-loop at vertex {u}", len(seen))
             e = canonical_edge(u, v)
             if e in seen:
-                raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
+                raise GraphError(f"duplicate edge ({e[0]}, {e[1]})", len(seen))
             seen[e] = None
         if len(seen) < n - 1:
             # checked before any per-vertex allocation, so a hostile header
@@ -185,7 +191,9 @@ def generate_cycle(n: int) -> Graph:
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line "n m", then m lines "u v".
 
-    All validation errors carry the offending 1-based line number.
+    The parser checks only the text: the header, two integer tokens per
+    line and the declared m. Graph(n, edges) checks the pairs, and an error
+    about one edge is re-raised with its 1-based line number in front.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -198,7 +206,6 @@ def read_edge_list(text: str) -> Graph:
     except ValueError:
         raise GraphError(f"line 1: non-integer header {lines[0]!r}") from None
     edges: list[Edge] = []
-    seen: set[Edge] = set()
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -206,21 +213,18 @@ def read_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphError(f"line {i}: expected 'u v', got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphError(f"line {i}: non-integer vertex in {raw!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"line {i}: vertex out of range in ({u}, {v})")
-        if u == v:
-            raise GraphError(f"line {i}: self-loop at vertex {u}")
-        e = canonical_edge(u, v)
-        if e in seen:
-            raise GraphError(f"line {i}: duplicate edge ({e[0]}, {e[1]})")
-        seen.add(e)
-        edges.append(e)
     if len(edges) != m:
         raise GraphError(f"header declares m={m} edges but found {len(edges)}")
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except GraphError as err:
+        if err.index is None:
+            raise
+        edge_lines = [i for i, raw in enumerate(lines[1:], start=2) if raw.strip()]
+        raise GraphError(f"line {edge_lines[err.index]}: {err}", err.index) from None
 
 
 def write_edge_list(g: Graph) -> str:

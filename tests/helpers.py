@@ -319,6 +319,46 @@ def generate_erdos_renyi_reference(n, p_edge, seed):
     raise GraphError(f"{MAX_ER_REJECTIONS} disconnected samples in a row")
 
 
+def read_edge_list_reference(text: str) -> Graph:
+    """The edge-list parser as it was when it repeated Graph's range,
+    self-loop and duplicate checks itself: every error it raises about one
+    edge carries the 1-based line number."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise GraphError("line 1: missing 'n m' header")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise GraphError(f"line 1: expected 'n m' header, got {lines[0]!r}")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise GraphError(f"line 1: non-integer header {lines[0]!r}") from None
+    edges: list[Edge] = []
+    seen: set[Edge] = set()
+    for i, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise GraphError(f"line {i}: expected 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"line {i}: non-integer vertex in {raw!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"line {i}: vertex out of range in ({u}, {v})")
+        if u == v:
+            raise GraphError(f"line {i}: self-loop at vertex {u}")
+        e = canonical_edge(u, v)
+        if e in seen:
+            raise GraphError(f"line {i}: duplicate edge ({e[0]}, {e[1]})")
+        seen.add(e)
+        edges.append(e)
+    if len(edges) != m:
+        raise GraphError(f"header declares m={m} edges but found {len(edges)}")
+    return Graph(n, edges)
+
+
 def tree_from_edges(n, root, parent_child_edges):
     """Build a RootedSpanningTree from explicit (parent, child) pairs
     listed in discovery order; n must be the tree's vertex count."""

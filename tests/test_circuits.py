@@ -7,11 +7,16 @@ from treeqaoa.circuits import (
     AnsatzParams, CircuitIR, Gate, block_metrics, build_optimized, build_traditional,
     check_circuit_size,
 )
-from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
-from treeqaoa.scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
+from treeqaoa.graphs import (
+    Graph, canonical_edge, generate_complete, generate_cycle, generate_erdos_renyi,
+)
+from treeqaoa.scheduling import (
+    StepSchedule, schedule_traditional, schedule_tree_ordered, verify_schedule,
+)
+from treeqaoa.simulate import fidelity, run_ideal
 from treeqaoa.trees import HeuristicConfig, build_bfs_tree, build_dfs_tree, build_greedy_tree
 
-from helpers import ansatz_reference, schedule_reference
+from helpers import ansatz_reference, schedule_reference, tree_from_edges
 
 
 def params_for(p, gamma=0.4, beta=0.7):
@@ -290,3 +295,45 @@ def test_traditional_incident_clash_is_refused():
     assert _error(build_traditional, g, params_for(1), sched) == expected
     assert _error(block_metrics, g, params_for(1), sched) == expected
     assert _error(circuit_for, g, sched, params_for(1)) == expected
+
+
+def test_child_edge_before_its_parent_edge_is_refused():
+    # verify_schedule's relaxed rule accepts (1, 2) before (0, 1), but then
+    # qubit 1 has left |+> when the dropped CNOT would fire
+    g = Graph(3, [(0, 1), (1, 2)])
+    t = tree_from_edges(3, 0, [(0, 1), (1, 2)])
+    sched = StepSchedule(t, {(0, 1): 2, (1, 2): 1})
+    assert verify_schedule(g, sched) == []
+    expected = ("schedule fails verification: tree edge (1, 2) at step 1 does not follow "
+                "its parent edge (0, 1) at step 2")
+    assert _error(build_optimized, g, params_for(1), t, sched) == expected
+    assert _error(block_metrics, g, params_for(1), sched) == expected
+    assert _error(circuit_for, g, sched, params_for(1)) == expected
+
+
+def test_accepted_schedules_build_equivalent_circuits():
+    # re-step random tree edges within the tree phase; whatever the reduced
+    # builder accepts must prepare the traditional circuit's state
+    rng = np.random.default_rng(1414)
+    accepted = refused = 0
+    for _ in range(1500):
+        n = int(rng.integers(3, 8))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.3, 1.0)), seed=int(rng.integers(1 << 30)))
+        sched = schedule_for(g, ("dfs", "bfs", "greedy")[int(rng.integers(3))],
+                             int(rng.integers(n)), 3)
+        step_of = dict(sched.step_of)
+        last = sched.tree_steps()
+        for u, v in sched.tree.discovery_order:
+            if rng.random() < 0.5:
+                step_of[canonical_edge(u, v)] = int(rng.integers(1, last + 1))
+        p = int(rng.integers(1, 3))
+        params = AnsatzParams(p, tuple(rng.uniform(0, np.pi, p)), tuple(rng.uniform(0, np.pi, p)))
+        try:
+            opt = build_optimized(g, params, sched.tree, StepSchedule(sched.tree, step_of))
+        except ValueError:
+            refused += 1
+            continue
+        accepted += 1
+        trad = build_traditional(g, params, schedule_traditional(g))
+        assert fidelity(run_ideal(trad), run_ideal(opt)) >= 1 - 1e-9
+    assert accepted >= 100 and refused >= 100

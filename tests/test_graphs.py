@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -15,7 +18,9 @@ from treeqaoa.graphs import (
     write_edge_list,
 )
 
-from helpers import HOSTILE_HEADER, address_space_cap, generate_erdos_renyi_reference
+from helpers import (
+    HOSTILE_HEADER, address_space_cap, generate_erdos_renyi_reference, read_edge_list_reference,
+)
 
 
 def test_complete_counts():
@@ -161,6 +166,113 @@ def test_read_edge_list_errors():
         read_edge_list("4 2\n0 1\n2 3\n")
     with pytest.raises(GraphError, match="m=3"):
         read_edge_list("3 3\n0 1\n1 2\n")
+
+
+def test_read_edge_list_words_edge_errors_like_graph():
+    with pytest.raises(GraphError) as info:
+        read_edge_list("4 2\n5 1\n0 1\n")
+    assert str(info.value) == "line 2: edge (5, 1) out of range for n=4"
+    assert info.value.index == 0
+    with pytest.raises(GraphError) as info:
+        Graph(4, [(0, 1), (5, 1)])
+    assert str(info.value) == "edge (5, 1) out of range for n=4"
+    assert info.value.index == 1
+    # the text is checked whole before any pair is
+    with pytest.raises(GraphError, match="^line 4: non-integer"):
+        read_edge_list("3 2\n1 1\n\n0 x\n")
+    with pytest.raises(GraphError, match="^header declares m=3"):
+        read_edge_list("3 3\n1 1\n0 1\n")
+    with pytest.raises(GraphError) as info:
+        read_edge_list("3 2\n\n0 1\n   \n1 0\n")
+    assert str(info.value) == "line 5: duplicate edge (0, 1)"
+
+
+FAULTS = ("out_of_range", "self_loop", "duplicate", "blank", "non_integer",
+          "three_tokens", "m_off", "disconnect")
+
+
+def _faulty_file(rng, faults):
+    """A write_edge_list file of a connected graph with the given faults
+    injected; returns the text and the faults that could be applied."""
+    n = int(rng.integers(2, 31))
+    g = generate_erdos_renyi(n, float(rng.uniform(0.2, 1.0)), seed=int(rng.integers(1 << 30)))
+    lines = write_edge_list(g).splitlines()[1:]
+    applied = []
+    if "disconnect" in faults:
+        # drop a random vertex's edges, in random order, until the graph splits
+        vtx = int(rng.integers(n))
+        at_vtx = [e for e in g.edges if vtx in e]
+        edges = list(g.edges)
+        for k in rng.permutation(len(at_vtx)).tolist():
+            edges.remove(at_vtx[k])
+            lines.remove("{} {}".format(*at_vtx[k]))
+            if not edges_connected(n, edges):
+                break
+        applied.append("disconnect")
+    for fault in faults:
+        filled = [k for k, line in enumerate(lines) if line.strip()]
+        if fault in ("disconnect", "m_off") or (not filled and fault not in ("self_loop", "blank")):
+            continue
+        k = int(rng.choice(filled)) if filled else 0
+        tokens = lines[k].split() if filled else []
+        if fault == "out_of_range":
+            tokens[int(rng.integers(2))] = str((n, -1)[int(rng.integers(2))])
+            lines[k] = " ".join(tokens)
+        elif fault == "self_loop":
+            x = int(rng.integers(n))
+            lines.insert(int(rng.integers(len(lines) + 1)), f"{x} {x}")
+        elif fault == "duplicate":
+            dup = " ".join(tokens if rng.random() < 0.5 else tokens[::-1])
+            lines.insert(int(rng.integers(len(lines) + 1)), dup)
+        elif fault == "blank":
+            for _ in range(int(rng.integers(1, 4))):
+                lines.insert(int(rng.integers(len(lines) + 1)), ("", "   ")[int(rng.integers(2))])
+        elif fault == "non_integer":
+            tokens[int(rng.integers(2))] = ("x", "1.5", "0x1")[int(rng.integers(3))]
+            lines[k] = " ".join(tokens)
+        elif fault == "three_tokens":
+            lines[k] += f" {rng.integers(n)}"
+        applied.append(fault)
+    m = sum(1 for line in lines if line.strip())
+    if "m_off" in faults:
+        m += (-1, 1)[int(rng.integers(2))]
+        applied.append("m_off")
+    return "\n".join([f"{n} {m}"] + lines) + "\n", applied
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphError as err:
+        return err
+
+
+def _line(err):
+    """The line number an error names, or None."""
+    named = re.match(r"line (\d+): ", str(err))
+    return named and named[1]
+
+
+def test_read_edge_list_matches_reference_on_faulty_files():
+    rng = np.random.default_rng(1401)
+    seen = Counter()
+    for _ in range(2000):
+        faults = rng.choice(FAULTS, size=int(rng.integers(0, 4)), replace=False).tolist()
+        text, applied = _faulty_file(rng, faults)
+        seen.update(applied)
+        want = _outcome(read_edge_list_reference, text)
+        got = _outcome(read_edge_list, text)
+        assert isinstance(got, GraphError) == isinstance(want, GraphError), text
+        if not isinstance(got, GraphError):
+            assert got == want
+        elif len(raising := [f for f in applied if f != "blank"]) == 1:  # blanks never raise
+            assert _line(got) == _line(want), text
+            if raising == ["out_of_range"]:
+                assert re.fullmatch(r"line \d+: edge \(-?\d+, -?\d+\) out of range for n=\d+",
+                                    str(got)), text
+            else:
+                assert str(got) == str(want), text
+    assert all(seen[fault] >= 50 for fault in FAULTS), seen
 
 
 def test_graph_constructor_validation():
