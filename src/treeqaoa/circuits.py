@@ -27,14 +27,16 @@ and the mixer adds 1 to every qubit. The depth is max(f); the CNOT count is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from .graphs import Edge, Graph, canonical_edge
+from .graphs import Edge, Graph
 from .scheduling import StepSchedule, verify_schedule
 from .trees import RootedSpanningTree
 
 MAX_CIRCUIT_GATES = 10_000_000  # about 1.3 GB at ~130 bytes per gate
+_ARITY = {"H": 1, "RX": 1, "RZ": 1, "CX": 2}  # the gate set and each gate's qubit count
 
 
 class Gate(NamedTuple):
@@ -66,6 +68,9 @@ class AnsatzParams:
                 f"need {self.p} gammas and betas, got "
                 f"{len(self.gammas)} and {len(self.betas)}"
             )
+        if not all(map(math.isfinite, (*self.gammas, *self.betas))):
+            raise ValueError(f"angles must be finite, got gammas {self.gammas} "
+                             f"and betas {self.betas}")
 
 
 class CircuitIR:
@@ -75,6 +80,11 @@ class CircuitIR:
 
     def __init__(self, n_qubits: int, gates: list[Gate] | tuple[Gate, ...]):
         for gate in gates:
+            if len(gate.qubits) != _ARITY.get(gate.name):
+                raise ValueError(f"gate {gate} is not a one-qubit H, RX, RZ or two-qubit CX")
+            rotation = gate.name in ("RX", "RZ")
+            if rotation == (gate.angle is None) or not math.isfinite(gate.angle or 0):
+                raise ValueError(f"gate {gate} needs a finite angle on RX and RZ, none on H and CX")
             if any(not 0 <= q < n_qubits for q in gate.qubits):
                 raise ValueError(f"gate {gate} out of range for {n_qubits} qubits")
             if gate.name == "CX" and gate.qubits[0] == gate.qubits[1]:
@@ -126,22 +136,21 @@ def check_circuit_size(n: int, m: int, p: int) -> None:
                          f"more than the cap of {MAX_CIRCUIT_GATES}")
 
 
-def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[list[Edge], dict]:
+def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[list[Edge], Mapping]:
     """Check a synthesis once; return its edges in step order (canonical order
-    within a step) and {canonical tree edge: (parent, child)}, empty if none."""
+    within a step) and the tree's edges map, empty if there is no tree."""
     if violations := verify_schedule(g, sched):
         raise ValueError(f"schedule fails verification: {violations[0]}")
     # a dropped CNOT is the identity only while its child is still in |+>,
     # so each tree edge must also run after its parent edge
     step_of = sched.step_of
-    reduced: dict[Edge, tuple[int, int]] = {}
+    reduced = {} if sched.tree is None else sched.tree.edges
     up: dict[int, Edge] = {}  # each child's own tree edge
-    for u, v in () if sched.tree is None else sched.tree.discovery_order:
-        e = up[v] = canonical_edge(u, v)
+    for e, (u, v) in reduced.items():
+        up[v] = e
         if u in up and step_of[e] <= step_of[up[u]]:
             raise ValueError(f"schedule fails verification: tree edge {e} at step {step_of[e]} "
                              f"does not follow its parent edge {up[u]} at step {step_of[up[u]]}")
-        reduced[e] = (u, v)
     check_circuit_size(g.n, g.m, params.p)
     return sorted(g.edges, key=step_of.__getitem__), reduced
 

@@ -73,16 +73,20 @@ def _ansatz_params(args, g: Graph) -> AnsatzParams:
             raise ValueError("--gamma and --beta must be given together")
         gammas = tuple(float(x) for x in args.gamma.split(","))
         betas = tuple(float(x) for x in args.beta.split(","))
+        if args.p not in (None, len(gammas)):
+            raise ValueError(f"--p {args.p} disagrees with {len(gammas)} --gamma "
+                             f"value{'s' * (len(gammas) != 1)}")
         return AnsatzParams(p=len(gammas), gammas=gammas, betas=betas)
-    if args.p < 1:  # AnsatzParams' own check, before numpy sees a negative size
-        raise ValueError(f"p must be >= 1, got {args.p}")
-    check_circuit_size(g.n, g.m, args.p)  # before drawing 2p angles
+    p = 1 if args.p is None else args.p
+    if p < 1:  # AnsatzParams' own check, before numpy sees a negative size
+        raise ValueError(f"p must be >= 1, got {p}")
+    check_circuit_size(g.n, g.m, p)  # before drawing 2p angles
     rng = np.random.default_rng(args.angle_seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=2 * args.p)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=2 * p)
     return AnsatzParams(
-        p=args.p,
-        gammas=tuple(float(a) for a in angles[:args.p]),
-        betas=tuple(float(a) for a in angles[args.p:]),
+        p=p,
+        gammas=tuple(float(a) for a in angles[:p]),
+        betas=tuple(float(a) for a in angles[p:]),
     )
 
 
@@ -184,7 +188,7 @@ def _add_strategy_args(p: argparse.ArgumentParser, choices) -> None:
 
 
 def _add_angle_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=int, default=1, help="ansatz layer count")
+    p.add_argument("--p", type=int, help="ansatz layer count (default 1 or len(--gamma))")
     p.add_argument("--gamma", help="comma-separated cost angles (radians)")
     p.add_argument("--beta", help="comma-separated mixer angles (radians)")
     p.add_argument("--angle-seed", type=int, default=1,

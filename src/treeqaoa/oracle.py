@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .graphs import Graph, canonical_edge
+from .graphs import Graph
 from .scheduling import StepSchedule, schedule_tree_ordered
 from .trees import HeuristicConfig, RootedSpanningTree, build_greedy_tree
 
@@ -198,10 +198,10 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
             rest = [(u, v) for u, v in edges if not tree[u] >> v & 1]
             rest_min, rest_colors = _min_coloring(rest, n, False, lb_rest, best_total - tree_min)
             if rest_colors is not None:
-                step_of = {canonical_edge(u, v): c for (u, v), c in zip(order, tree_colors)}
-                step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
+                t = RootedSpanningTree(root, tuple(order))
+                best = StepSchedule(t, dict(zip(t.edges, tree_colors)))
+                best.step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
                 best_total = tree_min + rest_min
-                best = StepSchedule(RootedSpanningTree(root, tuple(order)), step_of)
             return
         u, v = edges[i]
         ru, rv = _find(parent, u), _find(parent, v)

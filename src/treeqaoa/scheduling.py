@@ -39,14 +39,13 @@ class StepSchedule:
         if self.tree is None:
             return 0
         level = self.tree.level
-        return sum(self.step_of[canonical_edge(u, v)] - level[v]
-                   for u, v in self.tree.discovery_order)
+        return sum(self.step_of[e] - level[v] for e, (_u, v) in self.tree.edges.items())
 
     def tree_steps(self) -> int:
         """Max step over tree edges (0 for the traditional strategy)."""
         if self.tree is None:
             return 0
-        return max(self.step_of[e] for e in self.tree.edge_set())
+        return max(self.step_of[e] for e in self.tree.edges)
 
 
 def _first_free(used: list[int], u: int, v: int, floor: int) -> int:
@@ -80,17 +79,16 @@ def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
     conflict-free at both endpoints. Non-tree edges are then colored
     greedily starting just past the last tree step.
     """
-    tree_edges = t.edge_set()
-    if t.n != g.n or not tree_edges <= set(g.edges):
+    if t.n != g.n or not t.edges.keys() <= set(g.edges):
         raise ValueError("tree does not span this graph")
 
     used = [0] * g.n
     step_of: dict[Edge, int] = {}
     floor = [0] * g.n  # step of each vertex's own tree edge; 0 at the root
-    for u, v in t.discovery_order:
-        floor[v] = step_of[canonical_edge(u, v)] = _first_free(used, u, v, floor[u])
+    for e, (u, v) in t.edges.items():
+        floor[v] = step_of[e] = _first_free(used, u, v, floor[u])
 
-    rest = [e for e in g.edges if e not in tree_edges]
+    rest = [e for e in g.edges if e not in t.edges]
     step_of.update(_greedy_color(rest, used, floor=max(step_of.values())))
     return StepSchedule(t, step_of)
 
@@ -122,34 +120,32 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
 
     t = sched.tree
     if t is not None:
-        tree_edges = t.edge_set()
-        if not all(e in step_of for e in tree_edges):
+        if not all(e in step_of for e in t.edges):
             return violations + ["tree edge missing from schedule"]
         # path[v]: a bit per step on the root-to-v tree path, indexed by the
         # step's dense rank, so a step of any size costs one bit
-        tree_step = [step_of[canonical_edge(u, v)] for u, v in t.discovery_order]
+        tree_step = [step_of[e] for e in t.edges]
         rank = {s: i for i, s in enumerate(sorted(set(tree_step)))}
         path = [0] * t.n
-        for (u, v), s in zip(t.discovery_order, tree_step):
+        for (e, (u, v)), s in zip(t.edges.items(), tree_step):
             if path[u] >> rank[s] & 1:  # walk the ancestor chain only to word it
                 node = u
-                while (p := t.parent[node]) is not None:
+                while (p := t.parent[node]) is not None:  # ends: parent links cannot cycle
                     anc = canonical_edge(p, node)
                     if step_of[anc] == s:
-                        violations.append(f"tree edge {canonical_edge(u, v)} reuses step {s} "
-                                          f"of its ancestor {anc}")
+                        violations.append(f"tree edge {e} reuses step {s} of its ancestor {anc}")
                     node = p
             path[v] = path[u] | 1 << rank[s]
         last = max(tree_step, default=0)
         violations += [f"non-tree edge {e} at step {s} does not follow the tree phase "
                        f"(last tree step {last})"
-                       for e, s in scheduled if s <= last and e not in tree_edges]
+                       for e, s in scheduled if s <= last and e not in t.edges]
     return violations
 
 
 def schedule_to_text(g: Graph, sched: StepSchedule) -> str:
     """Dump format: one line "u v step tree|nontree" per edge."""
-    tree_edges = sched.tree.edge_set() if sched.tree is not None else frozenset()
+    tree_edges = sched.tree.edges if sched.tree is not None else {}
     lines = []
     for e in g.edges:
         kind = "tree" if e in tree_edges else "nontree"

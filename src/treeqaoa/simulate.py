@@ -55,7 +55,7 @@ class StateVector:
         if self.amplitudes.shape != (2 ** self.n_qubits,):
             raise ValueError("amplitude vector has wrong length")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN-safe
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
 
 

@@ -15,8 +15,8 @@ level factor steers branching toward vertices near the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .graphs import Edge, Graph, canonical_edge
 
@@ -26,47 +26,51 @@ class RootedSpanningTree:
     """Spanning tree of a graph, rooted and levelled.
 
     discovery_order lists the n-1 (parent, child) edges in the order the
-    builder added them, each parent the root or an earlier child. The views
-    derive from it: parent[v] is None exactly for the root; level[root] = 0
-    and level[child] = level[parent] + 1; branch_count[v] is the number of
-    children of v (the branching-factor statistic: tree degree for the
-    root, tree degree minus one otherwise).
+    builder added them. The constructor alone decides that they form a tree
+    (root and vertices in 0..n-1, each parent the root or an earlier child,
+    no vertex a child twice), raising ValueError at the first bad pair, and
+    derives the views in one pass: parent[v] is None exactly for the root;
+    level[child] = level[parent] + 1 from level[root] = 0; branch_count[v]
+    counts v's children (tree degree for the root, minus one otherwise);
+    edges maps each canonical tree edge to (parent, child) in discovery
+    order (a plain dict, so trees pickle; read-only by contract). Equality,
+    hash and repr use root and discovery_order alone.
     """
 
     root: int
     discovery_order: tuple[tuple[int, int], ...]
+    parent: tuple[int | None, ...] = field(init=False, compare=False, repr=False)
+    level: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    branch_count: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    edges: Mapping[Edge, tuple[int, int]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n, root = self.n, self.root
+        if not 0 <= root < n:
+            raise ValueError(f"root {root} out of range for n={n}")
+        parent: list[int | None] = [None] * n
+        level, branch = [0] * n, [0] * n
+        edges: dict[Edge, tuple[int, int]] = {}
+        for p, c in self.discovery_order:
+            if not (0 <= p < n and 0 <= c < n):
+                raise ValueError(f"tree edge ({p}, {c}) out of range for n={n}")
+            if p != root and parent[p] is None:
+                raise ValueError(f"tree edge ({p}, {c}): parent {p} is not yet discovered")
+            if c == root or parent[c] is not None:
+                raise ValueError(f"tree edge ({p}, {c}): child {c} is already discovered")
+            parent[c], level[c] = p, level[p] + 1
+            branch[p] += 1
+            edges[canonical_edge(p, c)] = (p, c)
+        self.__dict__.update(parent=tuple(parent), level=tuple(level),  # past the frozen guard
+                             branch_count=tuple(branch), edges=edges)
 
     @property
     def n(self) -> int:
         return len(self.discovery_order) + 1
 
-    @cached_property
-    def parent(self) -> tuple[int | None, ...]:
-        parent: list[int | None] = [None] * self.n
-        for p, c in self.discovery_order:
-            parent[c] = p
-        return tuple(parent)
-
-    @cached_property
-    def level(self) -> tuple[int, ...]:
-        level = [0] * self.n
-        for p, c in self.discovery_order:
-            level[c] = level[p] + 1
-        return tuple(level)
-
-    @cached_property
-    def branch_count(self) -> tuple[int, ...]:
-        branch = [0] * self.n
-        for p, _c in self.discovery_order:
-            branch[p] += 1
-        return tuple(branch)
-
     @property
     def height(self) -> int:
         return max(self.level)
-
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(canonical_edge(u, v) for u, v in self.discovery_order)
 
 
 @dataclass

@@ -10,6 +10,7 @@ check.
 """
 
 import contextlib
+import math
 from collections import defaultdict, deque
 from itertools import groupby
 from operator import attrgetter
@@ -66,6 +67,25 @@ def run_matrix_oracle(circ):
     for gate in circ.gates:
         psi = full_matrix(circ.n_qubits, gate) @ psi
     return psi
+
+
+def p1_cut_closed_form(g, gamma, beta):
+    """Expected cut of the p = 1 ansatz, edge by edge, by the closed form of
+    Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304, 2018): with d = deg u - 1,
+    e = deg v - 1 and f triangles on uv, edge uv contributes
+    1/2 + 1/4 sin 4b sin g (cos^d g + cos^e g)
+        - 1/4 sin^2 2b cos^(d+e-2f) g (1 - cos^f 2g)
+    at g = -2 gamma and b = beta, since CX RZ(2 gamma) CX = exp(-i gamma Z Z)
+    and RX(2 beta) = exp(-i beta X)."""
+    gp = -2.0 * gamma
+    c, c2 = math.cos(gp), math.cos(2.0 * gp)
+    nbrs = [set(a) for a in g.adjacency]
+    total = 0.0
+    for u, v in g.edges:
+        d, e, f = len(nbrs[u]) - 1, len(nbrs[v]) - 1, len(nbrs[u] & nbrs[v])
+        total += (0.5 + 0.25 * math.sin(4.0 * beta) * math.sin(gp) * (c ** d + c ** e)
+                  - 0.25 * math.sin(2.0 * beta) ** 2 * c ** (d + e - 2 * f) * (1.0 - c2 ** f))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +387,27 @@ def tree_from_edges(n, root, parent_child_edges):
     return t
 
 
+def tree_views_reference(t):
+    """(parent, level, branch_count, height) by the per-view loops the tree
+    ran before its constructor derived them, one loop per view."""
+    n = len(t.discovery_order) + 1
+    parent = [None] * n
+    for p, c in t.discovery_order:
+        parent[c] = p
+    level = [0] * n
+    for p, c in t.discovery_order:
+        level[c] = level[p] + 1
+    branch = [0] * n
+    for p, _c in t.discovery_order:
+        branch[p] += 1
+    return tuple(parent), tuple(level), tuple(branch), max(level)
+
+
+def tree_edge_set(t):
+    """The tree's canonical edges, from discovery_order alone."""
+    return frozenset(canonical_edge(u, v) for u, v in t.discovery_order)
+
+
 @contextlib.contextmanager
 def address_space_cap(extra_bytes):
     """Cap this process's address space at its current size plus
@@ -452,15 +493,16 @@ def verify_schedule_reference(g, sched):
 
     t = sched.tree
     if t is not None:
-        tree_edges = t.edge_set()
+        tree_edges = tree_edge_set(t)
         if not tree_edges <= set(sched.step_of):
             violations.append("tree edge missing from schedule")
             return violations
+        parent = tree_views_reference(t)[0]
         for u, v in t.discovery_order:
             e = canonical_edge(u, v)
             node = u
-            while t.parent[node] is not None:
-                p = t.parent[node]
+            while parent[node] is not None:
+                p = parent[node]
                 anc = canonical_edge(p, node)
                 if sched.step_of[anc] == sched.step_of[e]:
                     violations.append(
@@ -468,7 +510,7 @@ def verify_schedule_reference(g, sched):
                         f"of its ancestor {anc}"
                     )
                 node = p
-        max_tree_step = sched.tree_steps()
+        max_tree_step = max(sched.step_of[e] for e in tree_edges)
         for e in scheduled:
             if e not in tree_edges and sched.step_of[e] <= max_tree_step:
                 violations.append(
@@ -632,7 +674,7 @@ def solve_exact_reference(g: Graph, root: int) -> OracleResult:
         parent_edge = [child_edge.get(u, -1) for u, _v in t_order]
         tree_min, tree_colors = _min_coloring(t_order, parent_edge, g.n)
 
-        tree_set = t.edge_set()
+        tree_set = tree_edge_set(t)
         rest = [e for e in g.edges if e not in tree_set]
         rest_min, rest_colors = _min_coloring(rest, [-1] * len(rest), g.n)
 

@@ -101,6 +101,13 @@ def test_circuit_ir_checks_user_gates():
         CircuitIR(3, [Gate("RZ", (-1,), 0.5)])
     with pytest.raises(ValueError, match="control equals target"):
         CircuitIR(3, [Gate("CX", (1, 1))])
+    # a name outside the gate set, a wrong qubit count, a missing, non-finite
+    # or superfluous angle: each is refused with ValueError, not IndexError
+    for gate in (Gate("FOO", (0,)), Gate("H", (0, 1)), Gate("CX", (0,)), Gate("RX", ()),
+                 Gate("RZ", (0,)), Gate("RX", (0,), float("nan")),
+                 Gate("RZ", (0,), float("inf")), Gate("H", (0,), 0.5), Gate("CX", (0, 1), 0.5)):
+        with pytest.raises(ValueError, match="qubit|angle"):
+            CircuitIR(3, [gate])
 
 
 def _depth_via_dag(circ):
@@ -153,7 +160,7 @@ def test_builder_validation():
         build_optimized(g, params_for(1), t, trad_sched)
     # a tree-ordered schedule over a different tree of the same graph
     bfs_sched = schedule_tree_ordered(g, build_bfs_tree(g, 0))
-    assert bfs_sched.tree.edge_set() != t.edge_set()
+    assert bfs_sched.tree.edges.keys() != t.edges.keys()
     with pytest.raises(ValueError):
         build_optimized(g, params_for(1), t, bfs_sched)
     # corrupt the schedule: child edge reuses its parent's step
@@ -184,6 +191,13 @@ def test_ansatz_params_validation():
         AnsatzParams(p=0, gammas=(), betas=())
     with pytest.raises(ValueError):
         AnsatzParams(p=2, gammas=(0.1,), betas=(0.2, 0.3))
+
+
+def test_ansatz_params_refuse_non_finite_angles():
+    for gammas, betas in (((float("nan"),), (0.2,)), ((0.1,), (float("inf"),)),
+                          ((0.1, -float("inf")), (0.2, 0.3))):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            AnsatzParams(p=len(gammas), gammas=gammas, betas=betas)
 
 
 def test_circuit_text_round_shape():
@@ -272,7 +286,7 @@ def test_block_metrics_refuse_like_the_builders():
     trad_sched = schedule_traditional(g)
     reused = dict(tree_sched.step_of)
     reused[(1, 2)] = reused[(0, 1)]  # child edge reuses its parent's step
-    non_tree = next(e for e in g.edges if e not in t.edge_set())
+    non_tree = next(e for e in g.edges if e not in t.edges)
     cases = [
         (StepSchedule(t, reused), params_for(1), "fails verification: incident edges"),
         (StepSchedule(None, {e: s for e, s in trad_sched.step_of.items() if e != (0, 1)}),

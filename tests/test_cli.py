@@ -210,6 +210,33 @@ def test_nonpositive_layer_count_exits_nonzero(tmp_path, capsys):
             assert capsys.readouterr().err == f"error: p must be >= 1, got {p}\n"
 
 
+def test_non_finite_angles_exit_nonzero(graph_file, capsys):
+    # unchecked, simulate prints p_success nan and circuit dumps "RZ 1 inf"
+    for command, gamma in (("simulate", "nan"), ("circuit", "inf"), ("circuit", "0.1,-inf")):
+        beta = ",".join(["0.2"] * len(gamma.split(",")))
+        assert main([command, graph_file, "--gamma", gamma, "--beta", beta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: angles must be finite")
+
+
+def test_layer_count_must_agree_with_the_angles(tmp_path, capsys):
+    # unchecked, --p 3 with one angle each builds a one-layer circuit
+    cycle = tmp_path / "c4.txt"
+    assert main(["gen", "--family", "cycle", "--n", "4", "--out", str(cycle)]) == 0
+    for p, angles, message in (("3", "0.1", "--p 3 disagrees with 1 --gamma value"),
+                               ("1", "0.1,0.2", "--p 1 disagrees with 2 --gamma values")):
+        for command in ("circuit", "simulate"):
+            assert main([command, str(cycle), "--p", p, "--gamma", angles,
+                         "--beta", angles]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+    # an agreeing --p changes nothing
+    assert main(["circuit", str(cycle), "--gamma", "0.1,0.2", "--beta", "0.3,0.4"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["circuit", str(cycle), "--p", "2", "--gamma", "0.1,0.2",
+                 "--beta", "0.3,0.4"]) == 0
+    assert capsys.readouterr().out == plain and plain.startswith("4 33\n")
+
+
 def test_stdout_fallback(graph_file, capsys):
     assert main(["tree", graph_file, "--strategy", "bfs"]) == 0
     assert capsys.readouterr().out.startswith("root 0")

@@ -1,5 +1,6 @@
 """Property tests over random connected graphs, drawn by hypothesis."""
 
+import math
 from itertools import groupby
 from operator import attrgetter
 
@@ -11,9 +12,10 @@ from treeqaoa.circuits import AnsatzParams, block_metrics
 from treeqaoa.graphs import Graph, read_edge_list, write_edge_list
 from treeqaoa.oracle import heuristic_gap, step_lower_bounds
 from treeqaoa.scheduling import verify_schedule
+from treeqaoa.simulate import expected_cut, run_ideal
 from treeqaoa.trees import HeuristicConfig
 
-from helpers import _min_coloring, _root_tree, _spanning_trees
+from helpers import _min_coloring, _root_tree, _spanning_trees, p1_cut_closed_form
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -33,8 +35,8 @@ def graphs(draw, max_n=12, max_extra=None):
 
 
 @st.composite
-def synthesis_cases(draw):
-    g = draw(graphs())
+def synthesis_cases(draw, max_n=12):
+    g = draw(graphs(max_n))
     return g, draw(st.integers(0, g.n - 1)), draw(st.integers(1, 10))
 
 
@@ -123,7 +125,20 @@ def test_step_lower_bounds_are_sound(g, data):
         order = list(t.discovery_order)
         child_edge = {v: j for j, (_u, v) in enumerate(order)}
         tree_min, _ = _min_coloring(order, [child_edge.get(u, -1) for u, _v in order], g.n)
-        rest = [e for e in g.edges if e not in t.edge_set()]
+        rest = [e for e in g.edges if e not in t.edges]
         rest_min, _ = _min_coloring(rest, [-1] * len(rest), g.n)
         assert lb_tree <= tree_min
         assert lb_rest <= rest_min <= lb_rest + 1
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(synthesis_cases(max_n=16), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+def test_p1_cut_matches_the_closed_form(case, gamma, beta):
+    """The only independent check of the n-1 dropped CNOTs past the matrix
+    oracle's sizes: every strategy's p = 1 state gives the analytic cut."""
+    g, root, B = case
+    params = AnsatzParams(1, (gamma,), (beta,))
+    want = p1_cut_closed_form(g, gamma, beta)
+    for strategy in STRATEGIES:
+        sv = run_ideal(circuit_for(g, schedule_for(g, strategy, root, B), params))
+        assert abs(expected_cut(sv, g) - want) <= 1e-9

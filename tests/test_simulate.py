@@ -1,11 +1,14 @@
 import logging
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams, CircuitIR, Gate, build_optimized, build_traditional
-from treeqaoa.graphs import generate_complete, generate_cycle, generate_erdos_renyi
+from treeqaoa.graphs import (
+    Graph, edges_connected, generate_complete, generate_cycle, generate_erdos_renyi,
+)
 from treeqaoa.scheduling import schedule_traditional, schedule_tree_ordered
 from treeqaoa.simulate import (
     MAX_DENSITY_QUBITS,
@@ -23,6 +26,7 @@ from treeqaoa.trees import HeuristicConfig, build_dfs_tree, build_greedy_tree
 from helpers import (
     depolarize_oracle,
     full_matrix,
+    p1_cut_closed_form,
     pauli_to_rho,
     rho_to_pauli,
     run_matrix_oracle,
@@ -107,6 +111,36 @@ def test_expected_cut_examples():
     assert expected_cut(StateVector(4, zero), g) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         expected_cut(uniform, generate_cycle(5))
+
+
+def test_p1_closed_form_matches_the_matrix_oracle():
+    # fixes the closed form's convention (gamma' = -2 gamma) on every
+    # connected graph with n <= 4, through kron matrices and a bit count
+    # that share nothing with run_ideal or expected_cut
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 4):
+        pairs = list(combinations(range(n), 2))
+        for k in range(n - 1, len(pairs) + 1):
+            for edges in combinations(pairs, k):
+                if not edges_connected(n, edges):
+                    continue
+                g = Graph(n, edges)
+                gamma, beta = (float(a) for a in rng.uniform(-np.pi, np.pi, 2))
+                params = AnsatzParams(1, (gamma,), (beta,))
+                for strategy in STRATEGIES:
+                    psi = run_matrix_oracle(circuit_for(g, schedule_for(g, strategy, 0, 3), params))
+                    cut = sum(abs(a) ** 2 * sum((i >> u ^ i >> v) & 1 for u, v in g.edges)
+                              for i, a in enumerate(psi))
+                    assert cut == pytest.approx(p1_cut_closed_form(g, gamma, beta), abs=1e-12)
+
+
+def test_p1_closed_form_at_the_statevector_cap():
+    g = generate_erdos_renyi(20, 0.15, seed=3)
+    params = AnsatzParams(1, (0.7,), (-1.1,))
+    want = p1_cut_closed_form(g, 0.7, -1.1)
+    for strategy in STRATEGIES:
+        sv = run_ideal(circuit_for(g, schedule_for(g, strategy, 0, 3), params))
+        assert abs(expected_cut(sv, g) - want) <= 1e-9
 
 
 def test_zero_noise_success_is_exactly_one():
@@ -260,6 +294,12 @@ def test_statevector_and_noise_validation():
         NoiseParams(p_cx=1.0)
     with pytest.raises(ValueError):
         NoiseParams(p_idle=-0.1)
+
+
+def test_statevector_refuses_non_finite_amplitudes():
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array(bad, dtype=complex))
 
 
 def test_gate_ptms_are_orthogonal_and_fix_identity():

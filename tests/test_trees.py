@@ -1,15 +1,26 @@
+import copy
+import pickle
+from collections import Counter
+from dataclasses import FrozenInstanceError
+
+import networkx as nx
 import numpy as np
 import pytest
 
-from treeqaoa.graphs import Graph, generate_complete, generate_cycle, generate_erdos_renyi
+from treeqaoa.graphs import (
+    Graph, canonical_edge, generate_complete, generate_cycle, generate_erdos_renyi,
+)
 from treeqaoa.trees import (
     HeuristicConfig,
+    RootedSpanningTree,
     build_bfs_tree,
     build_dfs_tree,
     build_greedy_tree,
     cost_of,
     tree_to_text,
 )
+
+from helpers import tree_views_reference
 
 
 def star(k):
@@ -206,3 +217,135 @@ def test_tree_serialization():
     assert text.splitlines()[0] == "root 0"
     assert "1 0 1" in text
     assert len(text.splitlines()) == 4
+
+
+def test_cyclic_order_is_refused():
+    # taken as a tree, this order on Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    # sends verify_schedule round its parent cycle forever, and build_optimized
+    # gives fidelity 0.72 with the traditional circuit
+    with pytest.raises(ValueError, match=r"tree edge \(2, 0\): child 0 is already discovered"):
+        RootedSpanningTree(0, ((0, 1), (1, 2), (2, 0)))
+
+
+def test_parent_listed_after_its_child_is_refused():
+    # taken as a tree, this order gives vertex 2 level 1
+    with pytest.raises(ValueError, match=r"tree edge \(1, 2\): parent 1 is not yet discovered"):
+        RootedSpanningTree(0, ((1, 2), (0, 1)))
+
+
+def test_tree_errors_name_the_first_bad_pair():
+    cases = [
+        ((3, ((0, 1), (1, 2))), "root 3 out of range for n=3"),
+        ((-1, ((0, 1),)), "root -1 out of range for n=2"),
+        ((0, ((0, 1), (1, 4), (0, 2))), r"tree edge \(1, 4\) out of range for n=4"),
+        ((0, ((0, -1), (0, 1))), r"tree edge \(0, -1\) out of range for n=3"),
+        ((0, ((0, 1), (0, 1))), r"tree edge \(0, 1\): child 1 is already discovered"),
+        ((1, ((1, 0), (2, 1), (0, 2))), r"tree edge \(2, 1\): parent 2 is not yet"),
+    ]
+    for (root, order), message in cases:
+        with pytest.raises(ValueError, match=message):
+            RootedSpanningTree(root, order)
+
+
+def _builder_trees(count, seed):
+    """count seeded trees from dfs, bfs and greedy in turn, on connected
+    G(n, p) graphs with n in 2..30 and a random root."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 31))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.15, 0.9)), int(rng.integers(1 << 30)))
+        root = int(rng.integers(n))
+        if i % 3 == 0:
+            yield build_dfs_tree(g, root)
+        elif i % 3 == 1:
+            yield build_bfs_tree(g, root)
+        else:
+            yield build_greedy_tree(g, root, HeuristicConfig(B=int(rng.integers(1, 6))))
+
+
+def _is_tree_order(root, order):
+    """Independent check: the pairs form an arborescence on exactly 0..n-1
+    rooted at root, and every parent is discovered before it is used."""
+    n = len(order) + 1
+    d = nx.DiGraph(order)
+    d.add_nodes_from(range(n))
+    if set(d) != set(range(n)) or root not in d or not nx.is_arborescence(d) \
+            or d.in_degree(root) != 0:
+        return False
+    seen = {root}
+    for p, c in order:
+        if p not in seen:
+            return False
+        seen.add(c)
+    return True
+
+
+def _corrupt(kind, root, order, rng):
+    """order (or root) broken in one way; None if the tree is too small."""
+    order, n = list(order), len(order) + 1
+    i = int(rng.integers(len(order)))
+    p, c = order[i]
+    if kind == "repeat":  # a cycle through the root, or another pair's child
+        others = [cc for j, (_pp, cc) in enumerate(order) if j != i]
+        if others and rng.random() < 0.5:
+            root_or_other = others[rng.integers(len(others))]
+        else:
+            root_or_other = root
+        order[i] = (p, root_or_other)
+    elif kind == "late parent":  # an edge moved before its parent's own edge
+        late = [j for j, (pp, _cc) in enumerate(order) if pp != root]
+        if not late:
+            return None
+        j = late[rng.integers(len(late))]
+        k = next(k for k, (_pp, cc) in enumerate(order) if cc == order[j][0])
+        order.insert(k, order.pop(j))
+    elif kind == "range":
+        bad = n if rng.random() < 0.5 else -1
+        order[i] = (bad, c) if rng.random() < 0.5 else (p, bad)
+    else:  # "root": out of range, or a vertex listed as a child
+        root = [n, -1, c][rng.integers(3)]
+    return root, tuple(order)
+
+
+def test_tree_check_matches_an_independent_check():
+    rng = np.random.default_rng(15)
+    kinds = Counter()
+    orders = 0
+    for t in _builder_trees(2100, seed=15):
+        cases = [(t.root, t.discovery_order)]
+        kind = ("repeat", "late parent", "range", "root")[rng.integers(4)]
+        if (bad := _corrupt(kind, t.root, t.discovery_order, rng)) is not None:
+            cases.append(bad)
+            kinds[kind] += 1
+        for root, order in cases:
+            orders += 1
+            try:
+                RootedSpanningTree(root, order)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _is_tree_order(root, order), (root, order)
+    assert orders >= 2000
+    assert min(kinds[k] for k in ("repeat", "late parent", "range", "root")) >= 100
+
+
+def test_views_match_the_per_view_loops():
+    for t in _builder_trees(2100, seed=16):
+        assert (t.parent, t.level, t.branch_count, t.height) == tree_views_reference(t)
+        want = [(canonical_edge(p, c), (p, c)) for p, c in t.discovery_order]
+        assert list(t.edges.items()) == want
+
+
+def test_trees_pickle_copy_compare_and_hash_on_their_two_fields():
+    t = build_greedy_tree(generate_erdos_renyi(12, 0.4, seed=2), 5, HeuristicConfig(B=2))
+    for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t),
+                  RootedSpanningTree(t.root, t.discovery_order)):
+        assert clone == t and hash(clone) == hash(t) == hash((t.root, t.discovery_order))
+        assert (clone.parent, clone.level, clone.branch_count, clone.edges) == \
+            (t.parent, t.level, t.branch_count, t.edges)
+    assert repr(t) == f"RootedSpanningTree(root=5, discovery_order={t.discovery_order!r})"
+    assert t != build_bfs_tree(generate_erdos_renyi(12, 0.4, seed=2), 5)
+    with pytest.raises(FrozenInstanceError):
+        t.level = ()
+    with pytest.raises(TypeError):  # the views are not constructor parameters
+        RootedSpanningTree(0, ((0, 1),), edges={})
