@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .graphs import Edge, Graph
 from .scheduling import StepSchedule, verify_schedule
@@ -113,14 +113,20 @@ class CircuitIR:
 
     def to_text(self) -> str:
         """Dump format: header "n_qubits k", then one gate per line."""
+        qubit = [str(q) for q in range(self.n_qubits)]
+        # each angle object's repr, by id: 0.0 and -0.0 (or 2 and 2.0) are
+        # equal keys with different reprs, and every gate keeps its angle alive
+        angles: dict[int, str] = {}
         lines = [f"{self.n_qubits} {len(self.gates)}"]
-        for gate in self.gates:
-            if gate.name == "H":
-                lines.append(f"H {gate.qubits[0]}")
-            elif gate.name in ("RZ", "RX"):
-                lines.append(f"{gate.name} {gate.qubits[0]} {gate.angle!r}")
+        for name, qubits, angle, _tag in self.gates:
+            if name == "CX":
+                lines.append(f"CX {qubit[qubits[0]]} {qubit[qubits[1]]}")
+            elif name == "H":
+                lines.append(f"H {qubit[qubits[0]]}")
             else:
-                lines.append(f"CX {gate.qubits[0]} {gate.qubits[1]}")
+                if (text := angles.get(id(angle))) is None:
+                    text = angles[id(angle)] = repr(angle)
+                lines.append(f"{name} {qubit[qubits[0]]} {text}")
         return "\n".join(lines) + "\n"
 
     def __len__(self) -> int:
@@ -136,54 +142,68 @@ def check_circuit_size(n: int, m: int, p: int) -> None:
                          f"more than the cap of {MAX_CIRCUIT_GATES}")
 
 
-def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[list[Edge], Mapping]:
-    """Check a synthesis once; return its edges in step order (canonical order
-    within a step) and the tree's edges map, empty if there is no tree."""
+def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule):
+    """Check a synthesis once; return the positions of g's edges in step
+    order (canonical order within a step), the steps by position, and
+    {position: (parent, child)} for the tree's edges, empty if there is no
+    tree."""
     if violations := verify_schedule(g, sched):
         raise ValueError(f"schedule fails verification: {violations[0]}")
+    steps = sched.steps  # aligned with g.edges, which verification implies
     # a dropped CNOT is the identity only while its child is still in |+>,
     # so each tree edge must also run after its parent edge
-    step_of = sched.step_of
-    reduced = {} if sched.tree is None else sched.tree.edges
-    up: dict[int, Edge] = {}  # each child's own tree edge
-    for e, (u, v) in reduced.items():
-        up[v] = e
-        if u in up and step_of[e] <= step_of[up[u]]:
-            raise ValueError(f"schedule fails verification: tree edge {e} at step {step_of[e]} "
-                             f"does not follow its parent edge {up[u]} at step {step_of[up[u]]}")
+    reduced: dict[int, tuple[int, int]] = {}
+    up: dict[int, tuple[Edge, int]] = {}  # each child's own tree edge and its step
+    if sched.tree is not None:
+        for i, (e, pc) in zip(sched.tree_index(), sched.tree.edges.items()):
+            s, (u, v) = steps[i], pc
+            if u in up and s <= up[u][1]:
+                raise ValueError(f"schedule fails verification: tree edge {e} at step {s} "
+                                 f"does not follow its parent edge {up[u][0]} at step {up[u][1]}")
+            up[v], reduced[i] = (e, s), pc
     check_circuit_size(g.n, g.m, params.p)
-    return sorted(g.edges, key=step_of.__getitem__), reduced
+    return sorted(range(g.m), key=steps.__getitem__), steps, reduced
 
 
 def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule) -> CircuitIR:
-    """H layer, then p (cost, mixer) layers of gates in _blocks order."""
-    order, reduced = _blocks(g, params, sched)
-    gates: list[Gate] = [Gate("H", (q,)) for q in range(g.n)]
+    """H layer, then p (cost, mixer) layers of gates in _blocks order. Gates
+    skip Gate's generated constructor and share one (q,) per qubit, one
+    angle per layer and one (layer, step) tag per step."""
+    order, steps, reduced = _blocks(g, params, sched)
+    edges, gate = g.edges, tuple.__new__
+    one = [(q,) for q in range(g.n)]
+    gates: list[Gate] = [gate(Gate, ("H", q1, None, None)) for q1 in one]
     for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas), start=1):
-        for e in order:
-            tag = (layer, sched.step_of[e])
-            if layer == 1 and e in reduced:
-                par, child = reduced[e]
-                gates += (Gate("RZ", (child,), 2.0 * gamma, tag=tag),
-                          Gate("CX", (par, child), tag=tag))
+        angle, last, blocks = 2.0 * gamma, None, reduced if layer == 1 else {}
+        for i in order:
+            if steps[i] != last:
+                last = steps[i]
+                tag = (layer, last)
+            if (pc := blocks.get(i)) is not None:
+                gates += (gate(Gate, ("RZ", one[pc[1]], angle, tag)),
+                          gate(Gate, ("CX", pc, None, tag)))
             else:
-                cx = Gate("CX", e, tag=tag)  # immutable, so both CNOTs share it
-                gates += (cx, Gate("RZ", (e[1],), 2.0 * gamma, tag=tag), cx)
-        gates += [Gate("RX", (q,), 2.0 * beta) for q in range(g.n)]
+                e = edges[i]
+                cx = gate(Gate, ("CX", e, None, tag))  # immutable, so both CNOTs share it
+                gates += (cx, gate(Gate, ("RZ", one[e[1]], angle, tag)), cx)
+        angle = 2.0 * beta
+        gates += [gate(Gate, ("RX", q1, angle, None)) for q1 in one]
     return CircuitIR._trusted(g.n, gates)
 
 
 def block_metrics(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[int, int]:
     """(depth(), cnot_count()) of the schedule's ansatz, from its blocks alone."""
-    order, reduced = _blocks(g, params, sched)
+    order, _steps, reduced = _blocks(g, params, sched)
+    edges = g.edges
     f = [1] * g.n
     for layer in range(1, params.p + 1):
-        for e in order:
-            if layer == 1 and e in reduced:
-                par, child = reduced[e]
+        blocks = reduced if layer == 1 else {}
+        for i in order:
+            if (pc := blocks.get(i)) is not None:
+                par, child = pc
                 f[par] = f[child] = max(f[par], f[child] + 1) + 1
             else:
-                j, k = e
+                j, k = edges[i]
                 f[j] = f[k] = max(f[j], f[k]) + 3
         f = [x + 1 for x in f]
     return max(f), 2 * g.m * params.p - len(reduced)

@@ -76,12 +76,15 @@ def _ansatz_params(args, g: Graph) -> AnsatzParams:
         if args.p not in (None, len(gammas)):
             raise ValueError(f"--p {args.p} disagrees with {len(gammas)} --gamma "
                              f"value{'s' * (len(gammas) != 1)}")
+        if args.angle_seed is not None:
+            raise ValueError("--angle-seed draws random angles; it cannot be given "
+                             "with --gamma/--beta")
         return AnsatzParams(p=len(gammas), gammas=gammas, betas=betas)
     p = 1 if args.p is None else args.p
     if p < 1:  # AnsatzParams' own check, before numpy sees a negative size
         raise ValueError(f"p must be >= 1, got {p}")
     check_circuit_size(g.n, g.m, p)  # before drawing 2p angles
-    rng = np.random.default_rng(args.angle_seed)
+    rng = np.random.default_rng(1 if args.angle_seed is None else args.angle_seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=2 * p)
     return AnsatzParams(
         p=p,
@@ -191,8 +194,8 @@ def _add_angle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, help="ansatz layer count (default 1 or len(--gamma))")
     p.add_argument("--gamma", help="comma-separated cost angles (radians)")
     p.add_argument("--beta", help="comma-separated mixer angles (radians)")
-    p.add_argument("--angle-seed", type=int, default=1,
-                   help="seed for random angles when --gamma/--beta absent")
+    p.add_argument("--angle-seed", type=int,
+                   help="seed for random angles (default 1); not with --gamma/--beta")
 
 
 def _add_noise_arg(p: argparse.ArgumentParser) -> None:

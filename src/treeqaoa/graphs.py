@@ -12,7 +12,6 @@ output is reproducible across platforms for a fixed seed.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -80,7 +79,7 @@ class Graph:
         # already ascending: the sorted edges list each vertex's smaller
         # neighbours (as (w, x) edges) before its larger ones (as (x, v))
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
-        if not edges_connected(n, self.edges):
+        if not _reaches_all(adj):
             raise GraphError("graph is not connected")
 
     @property
@@ -114,18 +113,20 @@ def edges_connected(n: int, edges: Iterable[Edge]) -> bool:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * n
+    return _reaches_all(adj)
+
+
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """BFS from vertex 0 over neighbour lists: is every vertex reached?"""
+    seen = [False] * len(adj)
     seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
+    queue = [0]
+    for u in queue:
         for w in adj[u]:
             if not seen[w]:
                 seen[w] = True
-                count += 1
                 queue.append(w)
-    return count == n
+    return len(queue) == len(adj)
 
 
 def _check_pairs(family: str, n: int, pairs: int) -> None:

@@ -199,8 +199,9 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
             rest_min, rest_colors = _min_coloring(rest, n, False, lb_rest, best_total - tree_min)
             if rest_colors is not None:
                 t = RootedSpanningTree(root, tuple(order))
-                best = StepSchedule(t, dict(zip(t.edges, tree_colors)))
-                best.step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
+                step_of = dict(zip(t.edges, tree_colors))
+                step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
+                best = StepSchedule(t, step_of)
                 best_total = tree_min + rest_min
             return
         u, v = edges[i]

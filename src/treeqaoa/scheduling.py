@@ -8,28 +8,69 @@ strictly after every tree edge; this ordering is what licenses dropping
 one CNOT per tree edge in the first ansatz layer. Every edge, in either
 strategy and either phase, takes the smallest step above a floor that is
 free at both of its endpoints.
+
+A schedule holds its steps as a tuple aligned with the graph's sorted
+``g.edges``, so its consumers walk edges by position; a tree edge's
+position is found once, by bisection. The ``step_of`` map is derived from
+that tuple for the callers that want one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Edge, Graph, canonical_edge
 from .trees import RootedSpanningTree
 
 
-@dataclass
+@dataclass(init=False)
 class StepSchedule:
-    """Edge -> step map (1-based). The schedule is tree-ordered over tree,
-    or traditional exactly when tree is None."""
+    """Steps (1-based) of sorted edges: steps[i] is the step of edges[i]. The
+    schedule is tree-ordered over tree, or traditional exactly when tree is
+    None. A builder's edges is its graph's ``g.edges`` itself.
+
+    ``StepSchedule(tree, step_of)`` sorts any edge -> step map, missing or
+    extra edges included (verify_schedule reports them). ``step_of`` is that
+    map as a plain dict, derived on first read and read-only by contract.
+    """
 
     tree: RootedSpanningTree | None
-    step_of: dict[Edge, int]
+    edges: tuple[Edge, ...]
+    steps: tuple[int, ...]
+    _step_of: dict[Edge, int] | None = field(default=None, compare=False, repr=False)
+    _tree_at: list[int] | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, tree: RootedSpanningTree | None, step_of: dict[Edge, int]):
+        self.tree, self.edges = tree, tuple(sorted(step_of))
+        self.steps = tuple(map(step_of.__getitem__, self.edges))
+
+    @classmethod
+    def aligned(cls, g: Graph, tree: RootedSpanningTree | None, steps) -> StepSchedule:
+        """The schedule that runs g.edges[i] at steps[i]."""
+        sched = cls.__new__(cls)
+        sched.tree, sched.edges, sched.steps = tree, g.edges, tuple(steps)
+        return sched
+
+    @property
+    def step_of(self) -> dict[Edge, int]:
+        """Edge -> step, built on first read."""
+        if self._step_of is None:
+            self._step_of = dict(zip(self.edges, self.steps))
+        return self._step_of
+
+    def tree_index(self) -> list[int]:
+        """Position in edges of each tree edge, in discovery order ([] without
+        a tree), found once; ValueError if a tree edge has no step."""
+        if self._tree_at is None:
+            self._tree_at = [] if self.tree is None else _positions(self.edges, self.tree)
+            if self._tree_at is None:
+                raise ValueError("tree edge missing from schedule")
+        return self._tree_at
 
     @property
     def num_steps(self) -> int:
         """The last step in use."""
-        return max(self.step_of.values())
+        return max(self.steps)
 
     @property
     def delayed_start_total(self) -> int:
@@ -39,13 +80,22 @@ class StepSchedule:
         if self.tree is None:
             return 0
         level = self.tree.level
-        return sum(self.step_of[e] - level[v] for e, (_u, v) in self.tree.edges.items())
+        return sum(self.steps[i] - level[v]
+                   for i, (_u, v) in zip(self.tree_index(), self.tree.edges.values()))
 
     def tree_steps(self) -> int:
         """Max step over tree edges (0 for the traditional strategy)."""
-        if self.tree is None:
-            return 0
-        return max(self.step_of[e] for e in self.tree.edges)
+        return max((self.steps[i] for i in self.tree_index()), default=0)
+
+
+def _positions(edges: tuple[Edge, ...], t: RootedSpanningTree) -> list[int] | None:
+    """Position of each of t's edges in the sorted edges, in discovery order,
+    by bisection; None if one is absent."""
+    from bisect import bisect_left
+
+    index = [bisect_left(edges, e) for e in t.edges]
+    found = all(i < len(edges) and edges[i] == e for i, e in zip(index, t.edges))
+    return index if found else None
 
 
 def _first_free(used: list[int], u: int, v: int, floor: int) -> int:
@@ -61,14 +111,18 @@ def _first_free(used: list[int], u: int, v: int, floor: int) -> int:
     return s
 
 
-def _greedy_color(edges: list[Edge], used: list[int], floor: int) -> dict[Edge, int]:
-    """Assign each edge the smallest step above floor free at both endpoints."""
-    return {(u, v): _first_free(used, u, v, floor) for u, v in edges}
+def _greedy_color(g: Graph, steps: list[int], used: list[int], floor: int) -> list[int]:
+    """Give each edge still at step 0, in canonical order, the smallest step
+    above floor free at both endpoints."""
+    for i, (u, v) in enumerate(g.edges):
+        if not steps[i]:
+            steps[i] = _first_free(used, u, v, floor)
+    return steps
 
 
 def schedule_traditional(g: Graph) -> StepSchedule:
     """Greedy edge coloring in canonical edge order."""
-    return StepSchedule(None, _greedy_color(list(g.edges), [0] * g.n, floor=0))
+    return StepSchedule.aligned(g, None, _greedy_color(g, [0] * g.m, [0] * g.n, floor=0))
 
 
 def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
@@ -79,18 +133,18 @@ def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
     conflict-free at both endpoints. Non-tree edges are then colored
     greedily starting just past the last tree step.
     """
-    if t.n != g.n or not t.edges.keys() <= set(g.edges):
+    index = _positions(g.edges, t) if t.n == g.n else None
+    if index is None:
         raise ValueError("tree does not span this graph")
 
-    used = [0] * g.n
-    step_of: dict[Edge, int] = {}
+    used, steps = [0] * g.n, [0] * g.m
     floor = [0] * g.n  # step of each vertex's own tree edge; 0 at the root
-    for e, (u, v) in t.edges.items():
-        floor[v] = step_of[e] = _first_free(used, u, v, floor[u])
+    for i, (u, v) in zip(index, t.edges.values()):
+        floor[v] = steps[i] = _first_free(used, u, v, floor[u])
 
-    rest = [e for e in g.edges if e not in t.edges]
-    step_of.update(_greedy_color(rest, used, floor=max(step_of.values())))
-    return StepSchedule(t, step_of)
+    sched = StepSchedule.aligned(g, t, _greedy_color(g, steps, used, floor=max(floor)))
+    sched._tree_at = index
+    return sched
 
 
 def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
@@ -101,18 +155,21 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
     reuses a step of any of its tree ancestors and that every non-tree edge
     comes strictly after the whole tree phase. Linear time; never raises.
     """
-    step_of = sched.step_of
-    scheduled = [(e, step_of[e]) for e in g.edges if e in step_of]
-    violations = [f"edge {e} has no step" for e in g.edges if e not in step_of]
-    if len(step_of) > len(scheduled):  # keys that are not graph edges
-        violations += [f"scheduled edge {e} not in graph"
-                       for e in sorted(step_of.keys() - set(g.edges))]
+    edges, steps, violations = g.edges, sched.steps, []
+    if sched.edges is not edges and sched.edges != edges:  # then scan by key
+        step_of = sched.step_of
+        violations = [f"edge {e} has no step" for e in edges if e not in step_of]
+        if len(step_of) > len(edges) - len(violations):  # keys that are not graph edges
+            violations += [f"scheduled edge {e} not in graph"
+                           for e in sorted(step_of.keys() - set(edges))]
+        edges = [e for e in edges if e in step_of]
+        steps = [step_of[e] for e in edges]
 
     # one pass with each vertex's {step: first edge}; the stable sort lists
     # clashes by step, in canonical order within a step
     first: list[dict[int, Edge]] = [{} for _ in range(g.n)]
     clashes = []
-    for e, s in scheduled:
+    for e, s in zip(edges, steps):
         for vtx in e:
             if (owner := first[vtx].setdefault(s, e)) is not e:  # another edge holds s
                 clashes.append((s, f"incident edges {owner} and {e} share step {s}"))
@@ -120,34 +177,39 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
 
     t = sched.tree
     if t is not None:
-        if not all(e in step_of for e in t.edges):
-            return violations + ["tree edge missing from schedule"]
+        try:
+            index = sched.tree_index()
+        except ValueError as missing:
+            return violations + [str(missing)]
         # path[v]: a bit per step on the root-to-v tree path, indexed by the
-        # step's dense rank, so a step of any size costs one bit
-        tree_step = [step_of[e] for e in t.edges]
+        # step's dense rank, so a step of any size costs one bit; up[v] is
+        # the step of v's own tree edge
+        tree_step = [sched.steps[i] for i in index]
         rank = {s: i for i, s in enumerate(sorted(set(tree_step)))}
-        path = [0] * t.n
+        path, up = [0] * t.n, [0] * t.n
         for (e, (u, v)), s in zip(t.edges.items(), tree_step):
             if path[u] >> rank[s] & 1:  # walk the ancestor chain only to word it
                 node = u
                 while (p := t.parent[node]) is not None:  # ends: parent links cannot cycle
-                    anc = canonical_edge(p, node)
-                    if step_of[anc] == s:
-                        violations.append(f"tree edge {e} reuses step {s} of its ancestor {anc}")
+                    if up[node] == s:
+                        violations.append(f"tree edge {e} reuses step {s} of its ancestor "
+                                          f"{canonical_edge(p, node)}")
                     node = p
-            path[v] = path[u] | 1 << rank[s]
+            path[v], up[v] = path[u] | 1 << rank[s], s
         last = max(tree_step, default=0)
         violations += [f"non-tree edge {e} at step {s} does not follow the tree phase "
                        f"(last tree step {last})"
-                       for e, s in scheduled if s <= last and e not in t.edges]
+                       for e, s in zip(edges, steps) if s <= last and e not in t.edges]
     return violations
 
 
 def schedule_to_text(g: Graph, sched: StepSchedule) -> str:
     """Dump format: one line "u v step tree|nontree" per edge."""
+    if sched.edges != g.edges:
+        raise ValueError("schedule does not cover exactly this graph's edges")
     tree_edges = sched.tree.edges if sched.tree is not None else {}
     lines = []
-    for e in g.edges:
+    for e, s in zip(g.edges, sched.steps):
         kind = "tree" if e in tree_edges else "nontree"
-        lines.append(f"{e[0]} {e[1]} {sched.step_of[e]} {kind}")
+        lines.append(f"{e[0]} {e[1]} {s} {kind}")
     return "\n".join(lines) + "\n"

@@ -550,6 +550,20 @@ def ansatz_reference(g, params, step_of, t=None):
     return gates
 
 
+def circuit_text_reference(n_qubits, gates):
+    """CircuitIR.to_text as it was before its qubit strings and angle reprs
+    were cached: one f-string per gate, formatted from the gate's fields."""
+    lines = [f"{n_qubits} {len(gates)}"]
+    for gate in gates:
+        if gate.name == "H":
+            lines.append(f"H {gate.qubits[0]}")
+        elif gate.name in ("RZ", "RX"):
+            lines.append(f"{gate.name} {gate.qubits[0]} {gate.angle!r}")
+        else:
+            lines.append(f"CX {gate.qubits[0]} {gate.qubits[1]}")
+    return "\n".join(lines) + "\n"
+
+
 def _spanning_trees(g: Graph):
     """Yield spanning trees as edge-index tuples, with pruning.
 

@@ -16,7 +16,9 @@ from treeqaoa.scheduling import (
 from treeqaoa.simulate import fidelity, run_ideal
 from treeqaoa.trees import HeuristicConfig, build_bfs_tree, build_dfs_tree, build_greedy_tree
 
-from helpers import ansatz_reference, schedule_reference, tree_from_edges
+from helpers import (
+    ansatz_reference, circuit_text_reference, schedule_reference, tree_from_edges,
+)
 
 
 def params_for(p, gamma=0.4, beta=0.7):
@@ -209,6 +211,23 @@ def test_circuit_text_round_shape():
     assert lines[3].startswith("CX 0 1")
 
 
+def test_dump_matches_the_per_gate_formatter():
+    # reprs that differ only in their last digit, the smallest subnormal,
+    # both zeros, and an int angle equal to a float one: equal angles with
+    # different reprs must not share a cached repr
+    tiny = 0.1 + 2.0 ** -56  # 0.10000000000000002, one ulp above 0.1
+    angles = [0.1, tiny, 0.1, 5e-324, -5e-324, 0.0, -0.0, 0.0, 2, 2.0, -0.0]
+    assert len({repr(a) for a in angles}) == 8 and repr(tiny) != repr(0.1)
+    gates = [Gate("H", (0,)), Gate("CX", (0, 2))]
+    gates += [Gate(("RX", "RZ")[i % 2], (i % 3,), a) for i, a in enumerate(angles)]
+    text = CircuitIR(3, gates).to_text()
+    assert text == circuit_text_reference(3, gates)
+    assert text.splitlines()[3:7] == ["RX 0 0.1", "RZ 1 0.10000000000000002", "RX 2 0.1",
+                                      "RZ 0 5e-324"]
+    assert text.splitlines()[-6:] == ["RZ 2 0.0", "RX 0 -0.0", "RZ 1 0.0", "RX 2 2",
+                                      "RZ 0 2.0", "RX 1 -0.0"]
+
+
 def _assert_matches_reference(g, strategy, root, B, params, text):
     sched = schedule_for(g, strategy, root, B)
     ref = schedule_reference(g, sched.tree)
@@ -218,7 +237,7 @@ def _assert_matches_reference(g, strategy, root, B, params, text):
     expected = ansatz_reference(g, params, ref, sched.tree)
     assert [(gt.name, gt.qubits, gt.angle, gt.tag) for gt in circ.gates] == expected
     if text:
-        assert circ.to_text() == CircuitIR(g.n, [Gate(*gt) for gt in expected]).to_text()
+        assert circ.to_text() == circuit_text_reference(g.n, [Gate(*gt) for gt in expected])
 
 
 def test_synthesis_matches_set_probe_reference():

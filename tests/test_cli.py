@@ -237,6 +237,34 @@ def test_layer_count_must_agree_with_the_angles(tmp_path, capsys):
     assert capsys.readouterr().out == plain and plain.startswith("4 33\n")
 
 
+def test_angle_seed_is_refused_with_explicit_angles(tmp_path, capsys):
+    # unchecked, the seed was silently ignored when the angles were given
+    cycle = tmp_path / "c4.txt"
+    assert main(["gen", "--family", "cycle", "--n", "4", "--out", str(cycle)]) == 0
+    for command in ("circuit", "simulate"):
+        assert main([command, str(cycle), "--gamma", "0.1", "--beta", "0.2",
+                     "--angle-seed", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --angle-seed draws random angles; it cannot be "
+                                "given with --gamma/--beta\n")
+    # without angles, no --angle-seed means seed 1
+    assert main(["circuit", str(cycle)]) == 0
+    default = capsys.readouterr().out
+    assert main(["circuit", str(cycle), "--angle-seed", "1"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["circuit", str(cycle), "--angle-seed", "9"]) == 0
+    assert capsys.readouterr().out != default
+
+
+def test_circuit_dump_keeps_the_sign_of_zero(tmp_path, capsys):
+    k2 = tmp_path / "k2.txt"
+    k2.write_text("2 1\n0 1\n")
+    assert main(["circuit", str(k2), "--gamma", "0.0", "--beta", "-0.0"]) == 0
+    assert capsys.readouterr().out == ("2 6\nH 0\nH 1\nRZ 1 0.0\nCX 0 1\n"
+                                       "RX 0 -0.0\nRX 1 -0.0\n")
+
+
 def test_stdout_fallback(graph_file, capsys):
     assert main(["tree", graph_file, "--strategy", "bfs"]) == 0
     assert capsys.readouterr().out.startswith("root 0")

@@ -153,6 +153,21 @@ def test_matches_reference_oracle():
     assert graphs >= 1000
 
 
+def test_witness_is_a_whole_schedule_equal_to_the_reference():
+    # the witness map is complete before its schedule is made, so the
+    # schedule covers exactly the graph's edges and equals the reference's
+    rng = np.random.default_rng(1616)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.3, 0.9)), seed=int(rng.integers(10 ** 6)))
+        root = int(rng.integers(n))
+        fast = solve_exact(g, root).witness_schedule
+        slow = solve_exact_reference(g, root).witness_schedule
+        assert fast == slow and fast.edges == g.edges
+        assert fast.step_of == slow.step_of == dict(zip(g.edges, fast.steps))
+        assert fast.num_steps == solve_exact(g, root).best_steps
+
+
 def test_kirchhoff_tree_count():
     for n in range(2, 9):  # Cayley: K_n has n^(n-2) spanning trees
         assert _tree_count(masks(n, generate_complete(n).edges)) == n ** (n - 2)

@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from treeqaoa.bench import STRATEGIES, schedule_for
+from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
+from treeqaoa.circuits import AnsatzParams, block_metrics
 from treeqaoa.graphs import Graph, generate_cycle, generate_erdos_renyi
 from treeqaoa.scheduling import (
     StepSchedule,
@@ -203,3 +207,61 @@ def test_schedule_dump_format():
     assert len(lines) == 4
     assert lines[0].split()[:2] == ["0", "1"]
     assert all(line.split()[3] in ("tree", "nontree") for line in lines)
+
+
+def test_builder_steps_are_aligned_with_the_graph_edges():
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.8)), seed=int(rng.integers(2 ** 32)))
+        for strategy in STRATEGIES:
+            sched = schedule_for(g, strategy, int(rng.integers(n)), int(rng.integers(1, 6)))
+            assert sched.edges is g.edges and len(sched.steps) == g.m
+            assert sched.step_of == dict(zip(g.edges, sched.steps))
+            assert sched.step_of is sched.step_of  # derived once
+            if sched.tree is not None:
+                assert [g.edges[i] for i in sched.tree_index()] == list(sched.tree.edges)
+
+
+def test_hand_built_map_equals_the_builder_schedule():
+    rng = np.random.default_rng(61)
+    params = AnsatzParams(2, (0.3, 0.5), (0.7, 1.1))
+    for _ in range(30):
+        n = int(rng.integers(2, 25))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.8)), seed=int(rng.integers(2 ** 32)))
+        for strategy in STRATEGIES:
+            sched = schedule_for(g, strategy, int(rng.integers(n)), 3)
+            # keys in reverse canonical order: the constructor sorts them
+            by_hand = StepSchedule(sched.tree, dict(reversed(sched.step_of.items())))
+            assert by_hand == sched and by_hand.edges == g.edges and by_hand.edges is not g.edges
+            assert verify_schedule(g, by_hand) == []
+            assert (by_hand.num_steps, by_hand.tree_steps(), by_hand.delayed_start_total) == \
+                (sched.num_steps, sched.tree_steps(), sched.delayed_start_total)
+            assert circuit_for(g, by_hand, params).gates == circuit_for(g, sched, params).gates
+            assert block_metrics(g, params, by_hand) == block_metrics(g, params, sched)
+            assert schedule_to_text(g, by_hand) == schedule_to_text(g, sched)
+
+
+def test_tree_edge_outside_the_graph_is_refused():
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    # (1, 2) sorts between graph edges, (2, 3) after all of them
+    for tree_edges in ([(0, 1), (1, 2), (0, 3)], [(0, 1), (0, 2), (2, 3)]):
+        with pytest.raises(ValueError, match="tree does not span this graph"):
+            schedule_tree_ordered(star, tree_from_edges(4, 0, tree_edges))
+
+
+def test_schedules_pickle_copy_and_compare_across_reruns():
+    g = generate_erdos_renyi(15, 0.4, seed=8)
+    for strategy in STRATEGIES:
+        sched = schedule_for(g, strategy, 3, 2)
+        again = schedule_for(g, strategy, 3, 2)
+        assert again == sched and again.tree == sched.tree
+        plain = pickle.loads(pickle.dumps(sched))
+        assert sched.step_of and sched.tree_index() is not None  # derive both, pickle again
+        for clone in (plain, pickle.loads(pickle.dumps(sched)), copy.deepcopy(sched)):
+            assert clone == sched and clone.step_of == sched.step_of
+            assert clone.tree_index() == sched.tree_index()
+            assert verify_schedule(g, clone) == []
+    trad, tree = schedule_for(g, "traditional", 0, None), schedule_for(g, "dfs", 0, None)
+    assert trad != tree
+    assert repr(trad) == f"StepSchedule(tree=None, edges={g.edges!r}, steps={trad.steps!r})"
