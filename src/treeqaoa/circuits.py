@@ -200,11 +200,13 @@ def block_metrics(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[
         blocks = reduced if layer == 1 else {}
         for i in order:
             if (pc := blocks.get(i)) is not None:
-                par, child = pc
-                f[par] = f[child] = max(f[par], f[child] + 1) + 1
+                par, child = pc  # conditional expressions: builtin max costs more
+                a, b = f[par], f[child] + 1
+                f[par] = f[child] = (a if a > b else b) + 1
             else:
                 j, k = edges[i]
-                f[j] = f[k] = max(f[j], f[k]) + 3
+                a, b = f[j], f[k]
+                f[j] = f[k] = (a if a > b else b) + 3
         f = [x + 1 for x in f]
     return max(f), 2 * g.m * params.p - len(reduced)
 

@@ -167,10 +167,9 @@ def _cmd_bench_success(args) -> None:
 
 def _cmd_oracle(args) -> None:
     g = _load_graph(args.graph)
+    config = HeuristicConfig(B=args.B)  # refuses a bad --B before the search
     result = solve_exact(g, args.root)
-    heuristic_steps, oracle_steps = heuristic_gap(
-        g, args.root, HeuristicConfig(B=args.B)
-    )
+    heuristic_steps, oracle_steps = heuristic_gap(g, args.root, config)
     lines = [
         f"best_steps {oracle_steps}",
         f"heuristic_steps {heuristic_steps}",
@@ -279,9 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # building it costs more than a small command's run
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         args.func(args)
     except (GraphError, ValueError, OSError) as exc:

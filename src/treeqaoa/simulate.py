@@ -103,8 +103,13 @@ def run_ideal(c: CircuitIR) -> StateVector:
         raise ValueError(f"too many qubits for statevector: {n} > {MAX_STATEVECTOR_QUBITS}")
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
+    spare = np.empty_like(psi)
     for gate in c.gates:
-        _gate_inplace(psi, gate)
+        if gate.name in ("CX", "RZ"):
+            _gate_inplace(psi, gate)
+        else:
+            _ptm_pass(psi, spare, gate.qubits, _gate_matrix(gate.name, gate.angle))
+            psi, spare = spare, psi
     return StateVector(n, psi.reshape(-1))
 
 
@@ -119,19 +124,20 @@ def expected_cut(sv: StateVector, g: Graph) -> float:
     that its endpoints' bits differ."""
     if sv.n_qubits != g.n:
         raise ValueError(f"state has {sv.n_qubits} qubits, graph has {g.n} vertices")
-    probs = np.abs(sv.amplitudes) ** 2
-    idx = np.arange(2 ** g.n)
-    cut_sizes = np.zeros(2 ** g.n)
-    for u, v in g.edges:
-        cut_sizes += ((idx >> u) ^ (idx >> v)) & 1
-    return float(probs @ cut_sizes)
+    probs = (np.abs(sv.amplitudes) ** 2).reshape((2,) * g.n)
+    cut = 0.0
+    for u, v in g.edges:  # qubit q is axis n-1-q
+        au, av = g.n - 1 - u, g.n - 1 - v
+        cut += _slot(probs, [(au, 0), (av, 1)]).sum() + _slot(probs, [(au, 1), (av, 0)]).sum()
+    return float(cut)
 
 
 # ---------------------------------------------------------------------------
-# Kernels. A statevector is a (2,)*n tensor with axis n-1-q for qubit q; a
-# gate updates the two slices of its qubit's axis in place. The noisy state is
-# r, a contiguous float (4,)*n tensor with axis n-1-q for qubit q, indexed by
-# I, X, Y, Z. There a gate is a real Pauli transfer matrix (PTM), and the
+# Kernels. A statevector is a contiguous complex (2,)*n tensor with axis n-1-q
+# for qubit q: CX and RZ update slices of their qubits' axes in place, and H
+# and RX are one-axis products (_ptm_pass) into a spare buffer. The noisy state
+# is r, a contiguous float (4,)*n tensor with axis n-1-q for qubit q, indexed
+# by I, X, Y, Z. There a gate is a real Pauli transfer matrix (PTM), and the
 # depolarizing channel after it scales the PTM's non-identity rows by 1-p;
 # maps on disjoint qubits commute, so run_noisy can fold them before a pass.
 
@@ -145,7 +151,7 @@ def _slot(t: np.ndarray, assignments: list[tuple[int, int]]):
 
 
 def _gate_inplace(t: np.ndarray, gate: Gate) -> None:
-    """Apply gate to the statevector tensor t."""
+    """Apply a CX or RZ gate to the statevector tensor t."""
     if gate.name == "CX":
         ca, ta = (t.ndim - 1 - q for q in gate.qubits)
         a = _slot(t, [(ca, 1), (ta, 0)])
@@ -157,16 +163,9 @@ def _gate_inplace(t: np.ndarray, gate: Gate) -> None:
     axis = t.ndim - 1 - gate.qubits[0]
     v0 = _slot(t, [(axis, 0)])
     v1 = _slot(t, [(axis, 1)])
-    if gate.name == "RZ":
-        f = np.exp(-0.5j * gate.angle)
-        v0 *= f
-        v1 *= f.conjugate()
-        return
-    M = _gate_matrix(gate.name, gate.angle)
-    new0 = M[0, 0] * v0 + M[0, 1] * v1
-    v1 *= M[1, 1]
-    v1 += M[1, 0] * v0
-    v0[...] = new0
+    f = np.exp(-0.5j * gate.angle)
+    v0 *= f
+    v1 *= f.conjugate()
 
 
 @lru_cache(maxsize=256)
@@ -182,15 +181,19 @@ def _ptm(name: str, angle: float | None, keep: float = 1.0) -> np.ndarray:
 
 
 def _ptm_pass(src: np.ndarray, dst: np.ndarray, qubits: tuple[int, ...], R: np.ndarray) -> None:
-    """dst = R src on the size-4 axes of qubits, R indexed 4 * first + second
-    digit for two qubits. A two-qubit pass overwrites src."""
+    """dst = R src on the axes of qubits: one size-len(R) axis (2 for a
+    statevector, 4 for r), or two size-4 axes, R indexed 4 * first + second
+    digit. A two-qubit pass overwrites src."""
     if len(qubits) == 1:
-        # batched over the axes above, or, while the runs below are short, on rows
-        B = 4 ** qubits[0]
-        if B >= 16:
-            np.matmul(R, src.reshape(-1, 4, B), out=dst.reshape(-1, 4, B))
+        # batched over the axes above, or, while the runs below are short, on
+        # rows times kron(R, I_B)^T, built by broadcasting (np.kron costs more)
+        d = len(R)
+        B = d ** qubits[0]
+        if d * B >= 64:
+            np.matmul(R, src.reshape(-1, d, B), out=dst.reshape(-1, d, B))
         else:
-            np.matmul(src.reshape(-1, 4 * B), np.kron(R, np.eye(B)).T, out=dst.reshape(-1, 4 * B))
+            K = (R[:, None, :, None] * np.eye(B)[:, None, :]).reshape(d * B, d * B)
+            np.matmul(src.reshape(-1, d * B), K.T, out=dst.reshape(-1, d * B))
         return
     # two qubits: their axes to the front in dst, one product into src, and back
     axes = [src.ndim - 1 - q for q in qubits]

@@ -69,6 +69,17 @@ def run_matrix_oracle(circ):
     return psi
 
 
+def expected_cut_reference(sv, g):
+    """simulate.expected_cut as it was before it summed probability slices:
+    one full-length bit count per edge over all 2^n basis indices."""
+    probs = np.abs(sv.amplitudes) ** 2
+    idx = np.arange(2 ** g.n)
+    cut_sizes = np.zeros(2 ** g.n)
+    for u, v in g.edges:
+        cut_sizes += ((idx >> u) ^ (idx >> v)) & 1
+    return float(probs @ cut_sizes)
+
+
 def p1_cut_closed_form(g, gamma, beta):
     """Expected cut of the p = 1 ansatz, edge by edge, by the closed form of
     Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304, 2018): with d = deg u - 1,

@@ -1,8 +1,10 @@
 import hashlib
 import time
+from itertools import permutations
 
 import pytest
 
+from treeqaoa import cli
 from treeqaoa.cli import main
 from treeqaoa.graphs import read_edge_list
 
@@ -263,6 +265,45 @@ def test_circuit_dump_keeps_the_sign_of_zero(tmp_path, capsys):
     assert main(["circuit", str(k2), "--gamma", "0.0", "--beta", "-0.0"]) == 0
     assert capsys.readouterr().out == ("2 6\nH 0\nH 1\nRZ 1 0.0\nCX 0 1\n"
                                        "RX 0 -0.0\nRX 1 -0.0\n")
+
+
+def test_oracle_checks_B_before_it_searches(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the exact search ran before --B was checked")
+
+    monkeypatch.setattr(cli, "solve_exact", no_search)
+    path = tmp_path / "c5.txt"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    assert main(["oracle", str(path), "--B", "0"]) == 1
+    assert capsys.readouterr().err == "error: B must be >= 1, got 0\n"
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(graph_file, capsys, monkeypatch):
+    # every order of an argparse error, a validation error, a seeded and a
+    # default run: each prints the bytes of its first call on a new parser
+    argvs = [["oracle"], ["circuit", graph_file, "--p", "0"],
+             ["circuit", graph_file, "--angle-seed", "9"], ["circuit", graph_file]]
+    first = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        first.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in first] == [2, 1, 0, 0]
+    build_parser, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    for order in permutations(range(len(argvs))):
+        for i in order:
+            assert _outcome(argvs[i], capsys) == first[i]
+    assert len(built) == 1
 
 
 def test_stdout_fallback(graph_file, capsys):

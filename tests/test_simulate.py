@@ -25,6 +25,7 @@ from treeqaoa.trees import HeuristicConfig, build_dfs_tree, build_greedy_tree
 
 from helpers import (
     depolarize_oracle,
+    expected_cut_reference,
     full_matrix,
     p1_cut_closed_form,
     pauli_to_rho,
@@ -49,23 +50,26 @@ def test_traditional_zero_angles_is_uniform():
 
 
 def test_run_ideal_matches_matrix_oracle():
+    # H and RX on qubits 0-4 take the one-axis kernel's row product, and on
+    # qubits 5 and up its batched matmul; the wider circuits are fewer
     rng = np.random.default_rng(64)
-    for _ in range(500):
-        n = int(rng.integers(1, 6))
-        gates = []
-        for _ in range(int(rng.integers(1, 25))):
-            kind = rng.integers(4 if n > 1 else 3)
-            if kind == 3:
-                a, b = rng.choice(n, size=2, replace=False)
-                gates.append(Gate("CX", (int(a), int(b))))
-            else:
-                name = ("H", "RZ", "RX")[kind]
-                angle = None if name == "H" else float(rng.uniform(-np.pi, np.pi))
-                gates.append(Gate(name, (int(rng.integers(n)),), angle))
-        circ = CircuitIR(n, gates)
-        assert np.allclose(
-            run_ideal(circ).amplitudes, run_matrix_oracle(circ), atol=1e-12
-        )
+    for count, low, high in ((500, 1, 6), (60, 6, 9)):
+        for _ in range(count):
+            n = int(rng.integers(low, high))
+            gates = []
+            for _ in range(int(rng.integers(1, 25))):
+                kind = rng.integers(4 if n > 1 else 3)
+                if kind == 3:
+                    a, b = rng.choice(n, size=2, replace=False)
+                    gates.append(Gate("CX", (int(a), int(b))))
+                else:
+                    name = ("H", "RZ", "RX")[kind]
+                    angle = None if name == "H" else float(rng.uniform(-np.pi, np.pi))
+                    gates.append(Gate(name, (int(rng.integers(n)),), angle))
+            circ = CircuitIR(n, gates)
+            assert np.allclose(
+                run_ideal(circ).amplitudes, run_matrix_oracle(circ), atol=1e-12
+            )
 
 
 def test_run_ideal_qubit_guard():
@@ -111,6 +115,31 @@ def test_expected_cut_examples():
     assert expected_cut(StateVector(4, zero), g) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         expected_cut(uniform, generate_cycle(5))
+
+
+def _random_state(rng, n):
+    amplitudes = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amplitudes[rng.random(2 ** n) < rng.random()] = 0.0  # some sparse states
+    if not amplitudes.any():
+        amplitudes[0] = 1.0
+    return StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+
+
+def test_expected_cut_matches_the_bit_count_reference():
+    # the slice sums against the per-edge bit count over every basis index,
+    # on 2000 seeded states and ER graphs
+    rng = np.random.default_rng(2000)
+    for i in range(2000):
+        n = int(rng.integers(2, 13))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.3, 1.0)), seed=i)
+        sv = _random_state(rng, n)
+        assert abs(expected_cut(sv, g) - expected_cut_reference(sv, g)) <= 1e-12 * g.m
+
+
+def test_expected_cut_matches_the_reference_at_the_statevector_cap():
+    g = generate_erdos_renyi(20, 0.5, seed=20)
+    sv = _random_state(np.random.default_rng(20), 20)
+    assert abs(expected_cut(sv, g) - expected_cut_reference(sv, g)) <= 1e-12 * g.m
 
 
 def test_p1_closed_form_matches_the_matrix_oracle():
@@ -421,6 +450,24 @@ def test_two_qubit_pass_on_every_pair():
             axes = (n - 1 - a, n - 1 - b)
             want = np.tensordot(R.reshape(4, 4, 4, 4), r, axes=((2, 3), axes))
             assert np.allclose(dst, np.moveaxis(want, (0, 1), axes), rtol=0, atol=1e-12)
+
+
+def test_one_qubit_pass_on_every_axis():
+    # a dense map on one axis against tensordot: 4x4 on Pauli coefficients,
+    # 2x2 complex on a statevector; each size takes the row product on its
+    # low axes and the batched matmul from d * d**q >= 64 up
+    rng = np.random.default_rng(4)
+    for d, n in ((4, 5), (2, 8)):
+        for q in range(n):
+            R, r = rng.normal(size=(d, d)), rng.normal(size=(d,) * n)
+            if d == 2:
+                R, r = R + 1j * rng.normal(size=R.shape), r + 1j * rng.normal(size=r.shape)
+            src, dst = r.copy(), np.empty_like(r)
+            _ptm_pass(src, dst, (q,), R)
+            axis = n - 1 - q
+            want = np.moveaxis(np.tensordot(R, r, axes=(1, axis)), 0, axis)
+            assert np.allclose(dst, want, rtol=0, atol=1e-12)
+            assert np.array_equal(src, r)  # a one-qubit pass leaves src alone
 
 
 def _debug_record(caplog, circ, noise):
