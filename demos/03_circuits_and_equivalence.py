@@ -41,7 +41,7 @@ print(f"saved {trad.cnot_count() - opt.cnot_count()} CNOTs (n-1 = {g.n - 1})")
 
 psi_t = run_ideal(trad)
 psi_o = run_ideal(opt)
-print(f"\n|<psi_trad|psi_opt>|^2 = {fidelity(psi_t, psi_o):.15f}")
+print(f"\n|<psi_trad|psi_opt>|^2 = {fidelity(psi_t, psi_o):.12f}")
 print(f"expected cut value     = {expected_cut(psi_t, g):.6f}")
 
 # with more layers only the first one is reduced, so the saving stays n-1
@@ -50,4 +50,4 @@ trad2 = build_traditional(g, params2, trad_sched)
 opt2 = build_optimized(g, params2, tree, tree_sched)
 print(f"\np=2: {trad2.cnot_count()} vs {opt2.cnot_count()} CNOTs "
       f"(still {trad2.cnot_count() - opt2.cnot_count()} saved)")
-print(f"p=2 fidelity: {fidelity(run_ideal(trad2), run_ideal(opt2)):.15f}")
+print(f"p=2 fidelity: {fidelity(run_ideal(trad2), run_ideal(opt2)):.12f}")

@@ -3,16 +3,16 @@
 For a fixed root, spanning trees are searched by recursive edge
 include/exclude with connectivity pruning; the only bound on the input is
 n <= MAX_ORACLE_VERTICES = 8 (K8 has 8^6 = 262,144 spanning trees).
-For each tree, the minimum number of steps decomposes into two independent
-parts: an exact branch-and-bound coloring of the tree edges (incident edges
-and tree-ancestor edges must differ) plus an exact edge-chromatic number of
-the leftover edges, which are constrained to run strictly after the whole
-tree phase. The global minimum over trees is the ground truth against
-which the greedy heuristic is measured.
+A tree's fewest steps are its tree phase (incident and tree-ancestor edges
+differ) plus the edge-chromatic number of the leftover edges, which run
+after it. The tree phase takes max_v(level(v) + children(v)) steps: a child
+edge of u conflicts with u's level(u) root-path edges and its siblings, and
+first fit gives it a step of at most level(u) + children(u). The least
+total over trees is the ground truth for the greedy heuristic.
 
 A branch of the recursion is abandoned once two lower bounds that only
 grow down it reach the best total so far; a finished tree is skipped
-uncolored when its full bounds (``step_lower_bounds``) do, and each
+uncolored when its full bounds (``step_lower_bounds``) do, and the leftover
 coloring looks only below what would beat it. The witness is the first
 tree, in enumeration order, of minimum total, with each phase's
 lexicographically first minimum coloring. ``trees_enumerated`` counts
@@ -95,7 +95,7 @@ def _root(tree: list[int], root: int):
 
 def step_lower_bounds(adj: list[int], tree: list[int], level: list[int],
                       root: int) -> tuple[int, int]:
-    """(tree-phase, leftover-phase) lower bounds on a tree's step counts.
+    """A tree's tree-phase step count, exact, and leftover-phase lower bound.
 
     adj and tree are neighbor bitmasks of the graph and a spanning tree,
     level its levels from root. The edges on v's root path and v's child
@@ -113,22 +113,31 @@ def step_lower_bounds(adj: list[int], tree: list[int], level: list[int],
     return lb_tree, lb_rest
 
 
-def _min_coloring(order: list[tuple[int, int]], n: int, ancestors: bool,
-                  lb: int, cap: int) -> tuple[int, list[int] | None]:
-    """Exact minimum-max-color assignment by branch and bound.
+def _tree_coloring(order: list[tuple[int, int]], n: int) -> list[int]:
+    """First-fit steps of a tree's (parent, child) edges in discovery order:
+    each takes the smallest step on neither its root path nor an earlier sibling."""
+    path, kids = [1] * n, [0] * n  # step bits of root paths (step 0 barred), of child edges
+    colors = []
+    for u, v in order:
+        banned = path[u] | kids[u]
+        bit = ~banned & banned + 1  # the lowest free step
+        kids[u] |= bit
+        path[v] = path[u] | bit
+        colors.append(bit.bit_length() - 1)
+    return colors
 
-    order lists (u, v) pairs. With ``ancestors`` it is a tree's BFS order,
-    u the parent, and each edge must also differ from every edge on u's
-    root path. Colors ascend depth-first, so the first coloring found at
-    the minimum maximum is the lexicographically first. Only maxima below
-    ``cap`` are searched (colors None if there is none), and the search
-    stops at a coloring whose maximum reaches ``lb``, a lower bound.
-    """
+
+def _min_coloring(order: list[tuple[int, int]], n: int,
+                  lb: int, cap: int) -> tuple[int, list[int] | None]:
+    """Exact minimum-max-color edge coloring of the pairs in order, by branch
+    and bound. Colors ascend depth-first, so the first coloring found at the
+    minimum maximum is the lexicographically first. Only maxima below ``cap``
+    are searched (colors None if there is none), and the search stops at a
+    coloring whose maximum reaches ``lb``, a lower bound."""
     m = len(order)
     best, best_colors = (m, list(range(1, m + 1))) if cap > m else (cap, None)
     colors = [0] * m
     used = [0] * n  # color bits of the edges colored at each vertex
-    path = [0] * n  # color bits of the edges on each vertex's root path
 
     def bt(j: int, current_max: int) -> None:
         nonlocal best, best_colors
@@ -138,7 +147,7 @@ def _min_coloring(order: list[tuple[int, int]], n: int, ancestors: bool,
             best, best_colors = current_max, colors.copy()
             return
         u, v = order[j]
-        banned = used[u] | used[v] | path[u]
+        banned = used[u] | used[v]
         for c in range(1, min(best - 1, current_max + 1) + 1):
             bit = 1 << c
             if banned & bit:
@@ -146,8 +155,6 @@ def _min_coloring(order: list[tuple[int, int]], n: int, ancestors: bool,
             colors[j] = c
             used[u] |= bit
             used[v] |= bit
-            if ancestors:
-                path[v] = path[u] | bit
             bt(j + 1, max(current_max, c))
             used[u] ^= bit
             used[v] ^= bit
@@ -188,18 +195,15 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
         if size == n - 1:
             leaves += 1
             level, order = _root(tree, root)
-            lb_tree, lb_rest = step_lower_bounds(adj, tree, level, root)
-            if lb_tree + lb_rest >= best_total:
+            tree_min, lb_rest = step_lower_bounds(adj, tree, level, root)
+            if tree_min + lb_rest >= best_total:
                 return
             colored += 1
-            tree_min, tree_colors = _min_coloring(order, n, True, lb_tree, best_total - lb_rest)
-            if tree_colors is None:
-                return
             rest = [(u, v) for u, v in edges if not tree[u] >> v & 1]
-            rest_min, rest_colors = _min_coloring(rest, n, False, lb_rest, best_total - tree_min)
+            rest_min, rest_colors = _min_coloring(rest, n, lb_rest, best_total - tree_min)
             if rest_colors is not None:
                 t = RootedSpanningTree(root, tuple(order))
-                step_of = dict(zip(t.edges, tree_colors))
+                step_of = dict(zip(t.edges, _tree_coloring(order, n)))
                 step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
                 best = StepSchedule(t, step_of)
                 best_total = tree_min + rest_min

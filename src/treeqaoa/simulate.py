@@ -180,20 +180,23 @@ def _ptm(name: str, angle: float | None, keep: float = 1.0) -> np.ndarray:
     return R
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, entry for entry, as one broadcast product (np.kron costs more)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _ptm_pass(src: np.ndarray, dst: np.ndarray, qubits: tuple[int, ...], R: np.ndarray) -> None:
     """dst = R src on the axes of qubits: one size-len(R) axis (2 for a
     statevector, 4 for r), or two size-4 axes, R indexed 4 * first + second
     digit. A two-qubit pass overwrites src."""
     if len(qubits) == 1:
-        # batched over the axes above, or, while the runs below are short, on
-        # rows times kron(R, I_B)^T, built by broadcasting (np.kron costs more)
+        # batched over the axes above, or, for short runs below, on rows times kron(R, I_B)^T
         d = len(R)
         B = d ** qubits[0]
         if d * B >= 64:
             np.matmul(R, src.reshape(-1, d, B), out=dst.reshape(-1, d, B))
         else:
-            K = (R[:, None, :, None] * np.eye(B)[:, None, :]).reshape(d * B, d * B)
-            np.matmul(src.reshape(-1, d * B), K.T, out=dst.reshape(-1, d * B))
+            np.matmul(src.reshape(-1, d * B), _kron(R, np.eye(B)).T, out=dst.reshape(-1, d * B))
         return
     # two qubits: their axes to the front in dst, one product into src, and back
     axes = [src.ndim - 1 - q for q in qubits]
@@ -264,7 +267,7 @@ def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
                 pair, F = gate.qubits, np.eye(16)
             elif pair != gate.qubits:  # the same pair reversed: swap G's digits
                 G = G.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
-            F = G @ np.kron(pending.pop(pair[:1], _I4), pending.pop(pair[1:], _I4)) @ F
+            F = G @ _kron(pending.pop(pair[:1], _I4), pending.pop(pair[1:], _I4)) @ F
         for q in set(range(n)) - busy if tag is not None and noise.p_idle else ():
             pending[(q,)] = idle * pending.get((q,), _I4)
             channels += 1

@@ -1,9 +1,10 @@
 """Static checks that keep dead names out of the package, with stdlib ast.
 
-An import a module never reads, or a module-level constant that nothing
-reads, is code that only looks like it matters. Import lines marked
-``# noqa: F401`` are exempt: perfbench/spans.py traces the package by
-patching those module-level names.
+An import a module never reads, a module-level constant, function or class
+that nothing reads, or a parameter its function never reads, is code that
+only looks like it matters (a flag half removed, a helper orphaned). Import
+lines marked ``# noqa: F401`` are exempt: perfbench/spans.py traces the
+package by patching those module-level names.
 
 The package is layered along its pipeline, and each module may import only
 the siblings LAYERS lists for it, so a decision cannot leak into a module
@@ -17,7 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "treeqaoa"
-# every tree whose code may read a package constant
+# every tree whose code may read a package constant, function or class
 READERS = [ROOT / "src", ROOT / "tests", ROOT / "demos", ROOT / "perfbench"]
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 # the sibling modules each package module may import
@@ -88,14 +89,39 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _read_anywhere() -> set[str]:
+    return set().union(*(_loaded(_parse(path)) for top in READERS for path in top.rglob("*.py")))
+
+
 def test_no_dead_constants():
-    loaded = set()
-    for top in READERS:
-        for path in top.rglob("*.py"):
-            loaded |= _loaded(_parse(path))
+    loaded = _read_anywhere()
     dead = [f"{path.stem}.{name}" for path in _modules()
             for name in _constants(path) if name not in loaded]
     assert dead == []
+
+
+def test_no_dead_functions_or_classes():
+    loaded = _read_anywhere()
+    dead = [f"{path.stem}.{node.name}" for path in _modules() for node in _parse(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in loaded]
+    assert dead == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in _modules():
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for statement in body for name in ast.walk(statement)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}({name})"
+                       for name in params if name not in read]
+    assert unread == []
 
 
 def _siblings(path: Path) -> set[str]:

@@ -3,20 +3,22 @@ import logging
 import numpy as np
 import pytest
 
+from treeqaoa.bench import TREE_STRATEGIES, tree_for
 from treeqaoa.graphs import (
     Graph, canonical_edge, edges_connected, generate_complete, generate_cycle,
     generate_erdos_renyi,
 )
 from treeqaoa.oracle import (
+    _tree_coloring,
     _tree_count,
     heuristic_gap,
     solve_exact,
     step_lower_bounds,
 )
 from treeqaoa.scheduling import schedule_tree_ordered, verify_schedule
-from treeqaoa.trees import HeuristicConfig, build_greedy_tree
+from treeqaoa.trees import HeuristicConfig, RootedSpanningTree, build_greedy_tree
 
-from helpers import solve_exact_reference
+from helpers import _min_coloring, solve_exact_reference
 
 
 def star(k):
@@ -229,3 +231,30 @@ def test_matches_reference_oracle_at_eight_vertices():
         assert fast.witness_schedule.tree == slow.witness_schedule.tree
         assert fast.witness_schedule.step_of == slow.witness_schedule.step_of
     assert len(graphs) >= 150
+
+
+def test_tree_phase_is_its_bound_met_by_first_fit():
+    # the reference's exact tree-phase search must return the tree bound of
+    # step_lower_bounds and the first-fit coloring, on random parent arrays
+    # (n 2..10, relabelled, each parent before its children) and on the dfs,
+    # bfs and greedy trees of seeded ER graphs
+    rng = np.random.default_rng(1818)
+    trees = []
+    for _ in range(1800):
+        n = int(rng.integers(2, 11))
+        perm = [int(v) for v in rng.permutation(n)]
+        order = [(perm[int(rng.integers(v))], perm[v]) for v in range(1, n)]
+        trees.append(RootedSpanningTree(perm[0], tuple(order)))
+    for _ in range(400):
+        n = int(rng.integers(2, 11))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.9)), seed=int(rng.integers(10 ** 6)))
+        root, B = int(rng.integers(n)), int(rng.integers(1, 7))
+        trees += [tree_for(g, strategy, root, B) for strategy in TREE_STRATEGIES]
+    for t in trees:
+        order = list(t.discovery_order)
+        tree = masks(t.n, order)
+        lb_tree, _ = step_lower_bounds(tree, tree, list(t.level), t.root)
+        child_edge = {v: j for j, (_u, v) in enumerate(order)}
+        parent_edge = [child_edge.get(u, -1) for u, _v in order]
+        assert _min_coloring(order, parent_edge, t.n) == (lb_tree, _tree_coloring(order, t.n))
+    assert len(trees) >= 3000

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from treeqaoa.bench import STRATEGIES, TREE_STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import AnsatzParams, block_metrics
 from treeqaoa.graphs import Graph, read_edge_list, write_edge_list
-from treeqaoa.oracle import heuristic_gap, step_lower_bounds
+from treeqaoa.oracle import _tree_coloring, heuristic_gap, step_lower_bounds
 from treeqaoa.scheduling import verify_schedule
 from treeqaoa.simulate import expected_cut, run_ideal
 from treeqaoa.trees import HeuristicConfig
@@ -110,9 +110,9 @@ def test_heuristic_never_beats_the_oracle(g, data):
 @SETTINGS
 @given(graphs(max_n=7, max_extra=8), st.data())
 def test_step_lower_bounds_are_sound(g, data):
-    """Over every spanning tree: the tree-phase bound is at most the exact
-    tree coloring, and the exact leftover coloring lies between the
-    leftover bound and one more (Vizing)."""
+    """Over every spanning tree: the tree-phase bound equals the exact tree
+    coloring, whose colors are first fit's, and the exact leftover coloring
+    lies between the leftover bound and one more (Vizing)."""
     root = data.draw(st.integers(0, g.n - 1))
     adj = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
     for tree_idx in _spanning_trees(g):
@@ -124,10 +124,12 @@ def test_step_lower_bounds_are_sound(g, data):
         lb_tree, lb_rest = step_lower_bounds(adj, masks, list(t.level), root)
         order = list(t.discovery_order)
         child_edge = {v: j for j, (_u, v) in enumerate(order)}
-        tree_min, _ = _min_coloring(order, [child_edge.get(u, -1) for u, _v in order], g.n)
+        parent_edge = [child_edge.get(u, -1) for u, _v in order]
+        tree_min, tree_colors = _min_coloring(order, parent_edge, g.n)
         rest = [e for e in g.edges if e not in t.edges]
         rest_min, _ = _min_coloring(rest, [-1] * len(rest), g.n)
-        assert lb_tree <= tree_min
+        assert lb_tree == tree_min
+        assert tree_colors == _tree_coloring(order, g.n)
         assert lb_rest <= rest_min <= lb_rest + 1
 
 

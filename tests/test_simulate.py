@@ -14,6 +14,7 @@ from treeqaoa.simulate import (
     MAX_DENSITY_QUBITS,
     NoiseParams,
     StateVector,
+    _kron,
     _ptm,
     _ptm_pass,
     expected_cut,
@@ -468,6 +469,21 @@ def test_one_qubit_pass_on_every_axis():
             want = np.moveaxis(np.tensordot(R, r, axes=(1, axis)), 0, axis)
             assert np.allclose(dst, want, rtol=0, atol=1e-12)
             assert np.array_equal(src, r)  # a one-qubit pass leaves src alone
+
+
+def test_kron_is_bitwise_np_kron():
+    # one product per entry, as in np.kron: the CX fold's 4x4 (x) 4x4, and
+    # the row product's kron(R, I_B) for real and complex d x d R
+    rng = np.random.default_rng(5)
+    pairs = [(rng.normal(size=(4, 4)), rng.normal(size=(4, 4))) for _ in range(20)]
+    for d in (2, 4):
+        for B in (1, 2, 4, 8, 16):
+            R = rng.normal(size=(d, d))
+            pairs += [(R, np.eye(B)), (R + 1j * rng.normal(size=(d, d)), np.eye(B))]
+    for a, b in pairs:
+        got, want = _kron(a, b), np.kron(a, b)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def _debug_record(caplog, circ, noise):
