@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "erdos_renyi" and self.p_edge is None:
             raise ValueError("erdos_renyi needs p_edge")
+        if self.family != "erdos_renyi" and self.p_edge is not None:
+            raise ValueError(f"{self.family} takes no p_edge, got {self.p_edge}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.n_values:
@@ -93,8 +95,19 @@ def graph_instance(cfg: ExperimentConfig, n: int, trial: int) -> Graph:
     return generate_cycle(n)
 
 
+def _check_root_and_B(g: Graph, root: int, B: int | None) -> None:
+    """The builders' checks of root and B, made whatever the strategy, so a
+    flag that a strategy does not read is still refused when out of range."""
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} out of range for n={g.n}")
+    if B is not None and B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+
+
 def tree_for(g: Graph, strategy: str, root: int, B: int | None) -> RootedSpanningTree:
-    """The spanning tree a tree strategy grows from root (B: greedy only)."""
+    """The spanning tree a tree strategy grows from root (B: greedy only,
+    but checked for every strategy)."""
+    _check_root_and_B(g, root, B)
     if strategy == "dfs":
         return build_dfs_tree(g, root)
     if strategy == "bfs":
@@ -108,6 +121,7 @@ def tree_for(g: Graph, strategy: str, root: int, B: int | None) -> RootedSpannin
 def schedule_for(g: Graph, strategy: str, root: int, B: int | None) -> StepSchedule:
     """Edge-coloured steps: plain for "traditional", tree-ordered otherwise."""
     if strategy == "traditional":
+        _check_root_and_B(g, root, B)
         return schedule_traditional(g)
     return schedule_tree_ordered(g, tree_for(g, strategy, root, B))
 

@@ -1,13 +1,14 @@
 """Step assignment for the cost-layer edge blocks.
 
 A step is a set of pairwise disjoint edges whose two-qubit blocks run
-simultaneously. The traditional strategy is plain greedy edge coloring.
-The tree-ordered strategy schedules the spanning-tree edges first, each
-strictly after its parent edge, then colors the remaining edges in steps
-strictly after every tree edge; this ordering is what licenses dropping
-one CNOT per tree edge in the first ansatz layer. Every edge, in either
-strategy and either phase, takes the smallest step above a floor that is
-free at both of its endpoints.
+simultaneously. The traditional strategy is plain greedy edge coloring:
+each edge, in canonical order, takes the smallest step free at both of its
+endpoints. The tree-ordered strategy schedules the spanning-tree edges
+first, each strictly after its parent edge, then gives the remaining edges
+the traditional coloring shifted past the last tree step; this ordering is
+what licenses dropping one CNOT per tree edge in the first ansatz layer.
+The tree phase needs no search: the j-th child edge of a vertex, in
+discovery order, takes the step of the vertex's own tree edge plus j.
 
 A schedule holds its steps as a tuple aligned with the graph's sorted
 ``g.edges``, so its consumers walk edges by position; a tree edge's
@@ -30,8 +31,9 @@ class StepSchedule:
     None. A builder's edges is its graph's ``g.edges`` itself.
 
     ``StepSchedule(tree, step_of)`` sorts any edge -> step map, missing or
-    extra edges included (verify_schedule reports them). ``step_of`` is that
-    map as a plain dict, derived on first read and read-only by contract.
+    extra edges included (verify_schedule reports them), and refuses a step
+    that is not an int. ``step_of`` is that map as a plain dict, derived on
+    first read and read-only by contract.
     """
 
     tree: RootedSpanningTree | None
@@ -43,6 +45,9 @@ class StepSchedule:
     def __init__(self, tree: RootedSpanningTree | None, step_of: dict[Edge, int]):
         self.tree, self.edges = tree, tuple(sorted(step_of))
         self.steps = tuple(map(step_of.__getitem__, self.edges))
+        for e, s in zip(self.edges, self.steps):
+            if type(s) is not int:
+                raise ValueError(f"edge {e} has step {s!r}, not an int")
 
     @classmethod
     def aligned(cls, g: Graph, tree: RootedSpanningTree | None, steps) -> StepSchedule:
@@ -98,51 +103,46 @@ def _positions(edges: tuple[Edge, ...], t: RootedSpanningTree) -> list[int] | No
     return index if found else None
 
 
-def _first_free(used: list[int], u: int, v: int, floor: int) -> int:
-    """Take the smallest step above floor that is free at both u and v.
-
-    used[x] is a bitmask with bit s set when step s is taken at vertex x;
-    the chosen step is marked taken at both endpoints.
-    """
-    taken = (used[u] | used[v]) >> (floor + 1)
-    s = floor + (~taken & (taken + 1)).bit_length()
-    used[u] |= 1 << s
-    used[v] |= 1 << s
-    return s
-
-
-def _greedy_color(g: Graph, steps: list[int], used: list[int], floor: int) -> list[int]:
-    """Give each edge still at step 0, in canonical order, the smallest step
-    above floor free at both endpoints."""
+def _greedy_color(g: Graph, steps: list[int], base: int) -> list[int]:
+    """Give each edge still at step 0, in canonical order, base plus the
+    smallest step free at both endpoints among those edges."""
+    used = [0] * g.n  # bit s - 1 set when step s is taken at the vertex
     for i, (u, v) in enumerate(g.edges):
         if not steps[i]:
-            steps[i] = _first_free(used, u, v, floor)
+            taken = used[u] | used[v]
+            free = ~taken & (taken + 1)  # the lowest bit clear at both ends
+            used[u] |= free
+            used[v] |= free
+            steps[i] = base + free.bit_length()
     return steps
 
 
 def schedule_traditional(g: Graph) -> StepSchedule:
     """Greedy edge coloring in canonical edge order."""
-    return StepSchedule.aligned(g, None, _greedy_color(g, [0] * g.m, [0] * g.n, floor=0))
+    return StepSchedule.aligned(g, None, _greedy_color(g, [0] * g.m, base=0))
 
 
 def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
     """Two-phase schedule: tree edges in discovery order, then the rest.
 
-    Each tree edge (u, v) takes the smallest step strictly greater than the
-    step of u's own parent edge (>= 1 for edges out of the root) that is
-    conflict-free at both endpoints. Non-tree edges are then colored
-    greedily starting just past the last tree step.
+    The j-th child edge of u in discovery order takes the step of u's own
+    tree edge (0 at the root) plus j. That is the smallest step after u's
+    parent edge free at both endpoints, since the child has no step yet
+    and u's earlier child edges hold the j - 1 steps just above. Non-tree
+    edges then take the traditional coloring shifted past the last tree
+    step.
     """
     index = _positions(g.edges, t) if t.n == g.n else None
     if index is None:
         raise ValueError("tree does not span this graph")
 
-    used, steps = [0] * g.n, [0] * g.m
-    floor = [0] * g.n  # step of each vertex's own tree edge; 0 at the root
+    steps = [0] * g.m
+    last = [0] * g.n  # each vertex's latest tree step so far; 0 at the root to start
     for i, (u, v) in zip(index, t.edges.values()):
-        floor[v] = steps[i] = _first_free(used, u, v, floor[u])
+        last[u] += 1
+        last[v] = steps[i] = last[u]
 
-    sched = StepSchedule.aligned(g, t, _greedy_color(g, steps, used, floor=max(floor)))
+    sched = StepSchedule.aligned(g, t, _greedy_color(g, steps, base=max(last)))
     sched._tree_at = index
     return sched
 

@@ -41,8 +41,9 @@ def test_fit_slope_degenerate():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="p_edge"):
-        ExperimentConfig(family="erdos_renyi", n_values=(4,))
+    for family, p_edge in (("erdos_renyi", None), ("complete", 0.3), ("cycle", 0.5)):
+        with pytest.raises(ValueError, match="p_edge"):
+            ExperimentConfig(family=family, p_edge=p_edge, n_values=(4,))
     with pytest.raises(ValueError, match="ascending"):
         ExperimentConfig(family="cycle", n_values=(6, 4))
     with pytest.raises(ValueError, match="trials"):

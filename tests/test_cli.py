@@ -166,6 +166,33 @@ def test_bad_noise_exits_nonzero(graph_file, capsys):
         assert "error: p_idle" in capsys.readouterr().err
 
 
+def test_root_and_B_are_checked_whatever_the_strategy(graph_file, capsys):
+    # unchecked, a strategy that does not read a flag ignored it silently
+    for argv, message in (
+        (["schedule", graph_file, "--strategy", "traditional", "--root", "99", "--B", "-4"],
+         "root 99 out of range for n=8"),
+        (["schedule", graph_file, "--strategy", "traditional", "--B", "-4"],
+         "B must be >= 1, got -4"),
+        (["tree", graph_file, "--strategy", "dfs", "--B", "0"], "B must be >= 1, got 0"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    # a valid B that the strategy does not read changes nothing
+    assert main(["circuit", graph_file, "--strategy", "traditional"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["circuit", graph_file, "--strategy", "traditional", "--B", "6"]) == 0
+    assert capsys.readouterr().out == plain and plain
+
+
+def test_p_edge_is_refused_for_a_family_that_does_not_use_it(capsys):
+    # unchecked, every CSV row carried a p_edge that no graph used
+    assert main(["bench-depth", "--family", "complete", "--p-edge", "0.3",
+                 "--n", "4", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: complete takes no p_edge, got 0.3\n"
+
+
 def test_huge_header_exits_nonzero(tmp_path, capsys):
     hostile = tmp_path / "hostile.txt"
     hostile.write_text(HOSTILE_HEADER)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,51 @@ def test_tree_must_span():
     other = build_dfs_tree(generate_cycle(5), 0)
     with pytest.raises(ValueError):
         schedule_tree_ordered(g, other)
+
+
+def test_tree_steps_are_the_closed_form():
+    # the j-th child edge of u, in discovery order, runs at the step of u's
+    # own tree edge (0 at the root) plus j
+    rng = np.random.default_rng(1919)
+    graphs = [generate_cycle(1000)]
+    while len(graphs) < 60:
+        n = int(rng.integers(2, 40))
+        graphs.append(generate_erdos_renyi(n, float(rng.uniform(0.3, 1.0)),
+                                           seed=int(rng.integers(2 ** 32))))
+    for g in graphs:
+        for strategy in ("dfs", "bfs", "greedy"):
+            sched = schedule_for(g, strategy, int(rng.integers(g.n)), int(rng.integers(1, 7)))
+            up, kids = [0] * g.n, [0] * g.n
+            for i, (u, v) in zip(sched.tree_index(), sched.tree.edges.values()):
+                kids[u] += 1
+                assert sched.steps[i] == up[u] + kids[u]
+                up[v] = sched.steps[i]
+
+
+def test_tree_phase_memory_does_not_grow_with_its_length():
+    # a DFS tree of a long path has 99,999 tree steps; one bit per step per
+    # vertex would need more than a gigabyte
+    n = 100_000
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    t = build_dfs_tree(g, 0)
+    with address_space_cap(128 << 20):
+        sched = schedule_tree_ordered(g, t)
+    assert sched.steps == tuple(range(1, n))
+
+
+def test_non_int_steps_are_refused_where_the_schedule_is_made():
+    # unchecked, None steps made verify_schedule raise TypeError, 1.5 steps
+    # verified, built and dumped, and "1" steps read as sharing step 1
+    g = generate_cycle(4)
+    t = build_dfs_tree(g, 0)
+    good = schedule_tree_ordered(g, t).step_of
+    for bad in (None, 1.5, "1", True, np.int64(1)):
+        step_of = dict(good)
+        step_of[(2, 3)] = step_of[(0, 3)] = bad  # (0, 3) sorts first
+        message = f"edge (0, 3) has step {bad!r}, not an int"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StepSchedule(t, step_of)
+    assert StepSchedule(t, dict(good)) == schedule_tree_ordered(g, t)
 
 
 def test_verify_accepts_scheduler_outputs():
