@@ -12,7 +12,6 @@ from treeqaoa import (
     build_bfs_tree,
     build_dfs_tree,
     build_greedy_tree,
-    cost_of,
     generate_erdos_renyi,
     read_edge_list,
     tree_to_text,
@@ -36,7 +35,7 @@ print(f"\nDFS height {dfs.height}, BFS height {bfs.height} (BFS is minimal)")
 # root is cheap until a vertex has taken B children
 print("\ncost examples for n=12, B=3:")
 for level, bf in ((0, 1), (1, 0), (1, 3), (2, 4)):
-    print(f"  level={level} counter={bf}: cost {cost_of(12, level, bf, 3)}")
+    print(f"  level={level} counter={bf}: cost {(12 - level) * (3 - bf)}")
 
 for B in (2, 3, 6):
     t = build_greedy_tree(g, root, HeuristicConfig(B=B))

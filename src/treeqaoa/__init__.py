@@ -16,7 +16,6 @@ from .trees import (
     build_bfs_tree,
     build_dfs_tree,
     build_greedy_tree,
-    cost_of,
     tree_to_text,
 )
 from .scheduling import (
@@ -66,7 +65,6 @@ __all__ = [
     "build_greedy_tree",
     "build_optimized",
     "build_traditional",
-    "cost_of",
     "expected_cut",
     "fidelity",
     "fit_slope",

@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import Edge, Graph
-from .scheduling import StepSchedule, verify_schedule
+from .graphs import Graph
+from .scheduling import StepSchedule, tree_order_fault, verify_schedule
 from .trees import RootedSpanningTree
 
 MAX_CIRCUIT_GATES = 10_000_000  # about 1.3 GB at ~130 bytes per gate
@@ -147,20 +147,11 @@ def _blocks(g: Graph, params: AnsatzParams, sched: StepSchedule):
     order (canonical order within a step), the steps by position, and
     {position: (parent, child)} for the tree's edges, empty if there is no
     tree."""
-    if violations := verify_schedule(g, sched):
-        raise ValueError(f"schedule fails verification: {violations[0]}")
-    steps = sched.steps  # aligned with g.edges, which verification implies
-    # a dropped CNOT is the identity only while its child is still in |+>,
-    # so each tree edge must also run after its parent edge
-    reduced: dict[int, tuple[int, int]] = {}
-    up: dict[int, tuple[Edge, int]] = {}  # each child's own tree edge and its step
-    if sched.tree is not None:
-        for i, (e, pc) in zip(sched.tree_index(), sched.tree.edges.items()):
-            s, (u, v) = steps[i], pc
-            if u in up and s <= up[u][1]:
-                raise ValueError(f"schedule fails verification: tree edge {e} at step {s} "
-                                 f"does not follow its parent edge {up[u][0]} at step {up[u][1]}")
-            up[v], reduced[i] = (e, s), pc
+    # verify's first violation, else the first tree edge not after its parent edge
+    if fault := (verify_schedule(g, sched) or [tree_order_fault(sched)])[0]:
+        raise ValueError(f"schedule fails verification: {fault}")
+    steps, t = sched.steps, sched.tree  # steps align with g.edges, which verification implies
+    reduced = {} if t is None else dict(zip(sched.tree_index(), t.edges.values()))
     check_circuit_size(g.n, g.m, params.p)
     return sorted(range(g.m), key=steps.__getitem__), steps, reduced
 

@@ -291,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # its message is usually empty
+        print("error: out of memory", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -147,13 +147,29 @@ def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
     return sched
 
 
+def tree_order_fault(sched: StepSchedule) -> str | None:
+    """The first tree edge, in discovery order, whose step is not above its
+    parent edge's, worded, else None: a dropped CNOT is the identity only
+    while its child is in |+>. Needs every tree edge to have a step."""
+    if sched.tree is None:
+        return None
+    steps, up = sched.steps, {}  # up: each child's own tree edge and its step
+    for i, (e, (u, v)) in zip(sched.tree_index(), sched.tree.edges.items()):
+        if u in up and steps[i] <= up[u][1]:  # the root's child edges have no parent edge
+            return (f"tree edge {e} at step {steps[i]} does not follow its parent edge "
+                    f"{up[u][0]} at step {up[u][1]}")
+        up[v] = (e, steps[i])
+    return None
+
+
 def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
     """Independent legality check; returns human-readable violations.
 
     Checks that every graph edge has a step, that edges sharing a vertex
     never share a step, and (for tree-ordered schedules) that no tree edge
     reuses a step of any of its tree ancestors and that every non-tree edge
-    comes strictly after the whole tree phase. Linear time; never raises.
+    comes strictly after the whole tree phase. Never raises. O(n + m), unless
+    tree_order_fault finds a fault: then Θ(n·h) bits of root-path masks.
     """
     edges, steps, violations = g.edges, sched.steps, []
     if sched.edges is not edges and sched.edges != edges:  # then scan by key
@@ -181,21 +197,21 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
             index = sched.tree_index()
         except ValueError as missing:
             return violations + [str(missing)]
-        # path[v]: a bit per step on the root-to-v tree path, indexed by the
-        # step's dense rank, so a step of any size costs one bit; up[v] is
-        # the step of v's own tree edge
         tree_step = [sched.steps[i] for i in index]
-        rank = {s: i for i, s in enumerate(sorted(set(tree_step)))}
-        path, up = [0] * t.n, [0] * t.n
-        for (e, (u, v)), s in zip(t.edges.items(), tree_step):
-            if path[u] >> rank[s] & 1:  # walk the ancestor chain only to word it
-                node = u
-                while (p := t.parent[node]) is not None:  # ends: parent links cannot cycle
-                    if up[node] == s:
-                        violations.append(f"tree edge {e} reuses step {s} of its ancestor "
-                                          f"{canonical_edge(p, node)}")
-                    node = p
-            path[v], up[v] = path[u] | 1 << rank[s], s
+        if tree_order_fault(sched) is not None:  # else steps rise down root paths: no reuse
+            # path[v]: a bit per step on the root-to-v path, indexed by the step's
+            # dense rank (one bit for any size); up[v]: the step of v's tree edge
+            rank = {s: i for i, s in enumerate(sorted(set(tree_step)))}
+            path, up = [0] * t.n, [0] * t.n
+            for (e, (u, v)), s in zip(t.edges.items(), tree_step):
+                if path[u] >> rank[s] & 1:  # walk the ancestor chain only to word it
+                    node = u
+                    while (p := t.parent[node]) is not None:  # ends: parent links cannot cycle
+                        if up[node] == s:
+                            violations.append(f"tree edge {e} reuses step {s} of its ancestor "
+                                              f"{canonical_edge(p, node)}")
+                        node = p
+                path[v], up[v] = path[u] | 1 << rank[s], s
         last = max(tree_step, default=0)
         violations += [f"non-tree edge {e} at step {s} does not follow the tree phase "
                        f"(last tree step {last})"

@@ -88,14 +88,6 @@ class HeuristicConfig:
             raise ValueError(f"B must be >= 1, got {self.B}")
 
 
-def cost_of(n: int, l_v: int, v_bf: int, B: int) -> int:
-    """Branching cost of growing the tree from a vertex at level l_v whose
-    branch counter is v_bf. Signed; no clamping."""
-    if not 0 <= l_v < n:
-        raise ValueError(f"level {l_v} out of range for n={n}")
-    return (n - l_v) * (B - v_bf)
-
-
 def _check_root(g: Graph, root: int) -> None:
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")

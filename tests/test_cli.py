@@ -218,6 +218,28 @@ def test_generator_caps_exit_nonzero(capsys):
         assert "disconnected samples" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_nonzero(tmp_path, capsys):
+    # K500 has 124,750 edges: its greedy circuit does not fit in 48 MiB
+    k500 = tmp_path / "k500.txt"
+    assert main(["gen", "--family", "complete", "--n", "500", "--out", str(k500)]) == 0
+    with address_space_cap(48 << 20):
+        code = main(["circuit", str(k500), "--strategy", "greedy",
+                     "--out", str(tmp_path / "circuit.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_deep_tree_circuit_fits_in_memory(tmp_path, capsys):
+    # a DFS tree of a long cycle is a path of 99,999 tree steps; a bit per
+    # step per vertex anywhere in synthesis would be far over the cap
+    cycle = tmp_path / "cycle.txt"
+    assert main(["gen", "--family", "cycle", "--n", "100000", "--out", str(cycle)]) == 0
+    with address_space_cap(384 << 20):
+        code = main(["circuit", str(cycle), "--strategy", "dfs",
+                     "--out", str(tmp_path / "circuit.txt")])
+    assert code == 0, capsys.readouterr().err
+
+
 def test_layer_count_cap_exits_nonzero(tmp_path, capsys):
     # 10^9 layers on a 5-cycle would draw 16 GB of angles; the gate cap
     # refuses the circuit before any angle is drawn or gate built

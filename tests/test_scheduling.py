@@ -13,6 +13,7 @@ from treeqaoa.scheduling import (
     schedule_to_text,
     schedule_traditional,
     schedule_tree_ordered,
+    tree_order_fault,
     verify_schedule,
 )
 from treeqaoa.trees import HeuristicConfig, build_bfs_tree, build_dfs_tree, build_greedy_tree
@@ -106,6 +107,7 @@ def test_tree_steps_are_the_closed_form():
     for g in graphs:
         for strategy in ("dfs", "bfs", "greedy"):
             sched = schedule_for(g, strategy, int(rng.integers(g.n)), int(rng.integers(1, 7)))
+            assert tree_order_fault(sched) is None
             up, kids = [0] * g.n, [0] * g.n
             for i, (u, v) in zip(sched.tree_index(), sched.tree.edges.values()):
                 kids[u] += 1
@@ -115,13 +117,17 @@ def test_tree_steps_are_the_closed_form():
 
 def test_tree_phase_memory_does_not_grow_with_its_length():
     # a DFS tree of a long path has 99,999 tree steps; one bit per step per
-    # vertex would need more than a gigabyte
+    # vertex, in the scheduler or in the verifier's root-path masks, would
+    # need more than a gigabyte
     n = 100_000
     g = Graph(n, [(v, v + 1) for v in range(n - 1)])
     t = build_dfs_tree(g, 0)
     with address_space_cap(128 << 20):
         sched = schedule_tree_ordered(g, t)
+        assert verify_schedule(g, sched) == []
+        metrics = block_metrics(g, AnsatzParams(1, (0.3,), (0.2,)), sched)
     assert sched.steps == tuple(range(1, n))
+    assert metrics == (n + 2, n - 1)  # one reduced block per tree edge, in a chain
 
 
 def test_non_int_steps_are_refused_where_the_schedule_is_made():

@@ -16,7 +16,6 @@ from treeqaoa.trees import (
     build_bfs_tree,
     build_dfs_tree,
     build_greedy_tree,
-    cost_of,
     tree_to_text,
 )
 
@@ -84,14 +83,6 @@ def test_greedy_star_forced():
         t = build_greedy_tree(star(4), 0, HeuristicConfig(B=B))
         assert t.height == 1
         assert t.branch_count[0] == 4
-
-
-def test_cost_function_values():
-    assert cost_of(6, 0, 1, 3) == 12
-    assert cost_of(6, 1, 3, 3) == 0
-    assert cost_of(6, 1, 4, 3) == -5
-    with pytest.raises(ValueError):
-        cost_of(6, 6, 0, 3)
 
 
 def test_heuristic_config_validation():
