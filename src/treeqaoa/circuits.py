@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph
 from .scheduling import StepSchedule, tree_order_fault, verify_schedule
@@ -37,6 +37,7 @@ from .trees import RootedSpanningTree
 
 MAX_CIRCUIT_GATES = 10_000_000  # about 1.3 GB at ~130 bytes per gate
 _ARITY = {"H": 1, "RX": 1, "RZ": 1, "CX": 2}  # the gate set and each gate's qubit count
+_TEXT_BLOCKS = 8192  # cost blocks per chunk of ansatz_text
 
 
 class Gate(NamedTuple):
@@ -113,20 +114,10 @@ class CircuitIR:
 
     def to_text(self) -> str:
         """Dump format: header "n_qubits k", then one gate per line."""
-        qubit = [str(q) for q in range(self.n_qubits)]
-        # each angle object's repr, by id: 0.0 and -0.0 (or 2 and 2.0) are
-        # equal keys with different reprs, and every gate keeps its angle alive
-        angles: dict[int, str] = {}
         lines = [f"{self.n_qubits} {len(self.gates)}"]
         for name, qubits, angle, _tag in self.gates:
-            if name == "CX":
-                lines.append(f"CX {qubit[qubits[0]]} {qubit[qubits[1]]}")
-            elif name == "H":
-                lines.append(f"H {qubit[qubits[0]]}")
-            else:
-                if (text := angles.get(id(angle))) is None:
-                    text = angles[id(angle)] = repr(angle)
-                lines.append(f"{name} {qubit[qubits[0]]} {text}")
+            text = f"{name} {' '.join(map(str, qubits))}"
+            lines.append(text if angle is None else f"{text} {angle!r}")
         return "\n".join(lines) + "\n"
 
     def __len__(self) -> int:
@@ -180,6 +171,36 @@ def _ansatz(g: Graph, params: AnsatzParams, sched: StepSchedule) -> CircuitIR:
         angle = 2.0 * beta
         gates += [gate(Gate, ("RX", q1, angle, None)) for q1 in one]
     return CircuitIR._trusted(g.n, gates)
+
+
+def ansatz_text(g: Graph, params: AnsatzParams, sched: StepSchedule) -> Iterator[str]:
+    """circuit_for(g, sched, params).to_text() in chunks, written from _blocks
+    without a gate: each full block's CX line once per edge, each RZ and RX
+    line once per qubit and layer. The synthesis is checked at the call, not
+    on the first next()."""
+    order, _steps, reduced = _blocks(g, params, sched)
+    n, edges = g.n, g.edges
+    cx = [f"CX {j} {k}\n" for j, k in edges]
+
+    def chunks() -> Iterator[str]:
+        yield f"{n} {n + params.p * (n + 3 * g.m) - len(reduced)}\n"
+        yield "".join([f"H {q}\n" for q in range(n)])
+        for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas), start=1):
+            angle = repr(2.0 * gamma)  # the builder's angle for this layer
+            rz = [f"RZ {q} {angle}\n" for q in range(n)]
+            blocks = reduced if layer == 1 else {}
+            for start in range(0, len(order), _TEXT_BLOCKS):
+                parts: list[str] = []
+                for i in order[start:start + _TEXT_BLOCKS]:
+                    if (pc := blocks.get(i)) is not None:
+                        parts += (rz[pc[1]], f"CX {pc[0]} {pc[1]}\n")
+                    else:
+                        parts += (cx[i], rz[edges[i][1]], cx[i])
+                yield "".join(parts)
+            angle = repr(2.0 * beta)
+            yield "".join([f"RX {q} {angle}\n" for q in range(n)])
+
+    return chunks()
 
 
 def block_metrics(g: Graph, params: AnsatzParams, sched: StepSchedule) -> tuple[int, int]:

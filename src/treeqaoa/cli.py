@@ -20,7 +20,7 @@ from .bench import (
     ExperimentConfig, circuit_for, rows_to_csv, run_depth_experiment,
     run_success_experiment, schedule_for, tree_for,
 )
-from .circuits import AnsatzParams, check_circuit_size
+from .circuits import AnsatzParams, ansatz_text, check_circuit_size
 from .graphs import (
     Graph,
     GraphError,
@@ -43,12 +43,15 @@ from .scheduling import schedule_traditional, schedule_tree_ordered  # noqa: F40
 from .trees import build_bfs_tree, build_dfs_tree, build_greedy_tree  # noqa: F401
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text, out: str | None) -> None:
+    """Write a str, or an iterable of str chunks as they come, to out, else
+    to stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _load_graph(path: str) -> Graph:
@@ -114,20 +117,18 @@ def _cmd_schedule(args) -> None:
     _emit(schedule_to_text(g, sched), args.out)
 
 
-def _synthesize(args):
+def _cmd_circuit(args) -> None:
     g = _load_graph(args.graph)
     params = _ansatz_params(args, g)
     sched = schedule_for(g, args.strategy, args.root, args.B)
-    return g, sched, circuit_for(g, sched, params)
-
-
-def _cmd_circuit(args) -> None:
-    _, _, circ = _synthesize(args)
-    _emit(circ.to_text(), args.out)
+    _emit(ansatz_text(g, params, sched), args.out)  # checked before out is opened
 
 
 def _cmd_simulate(args) -> None:
-    g, sched, circ = _synthesize(args)
+    g = _load_graph(args.graph)
+    params = _ansatz_params(args, g)
+    sched = schedule_for(g, args.strategy, args.root, args.B)
+    circ = circuit_for(g, sched, params)
     result = run_noisy(circ, _parse_noise(args.noise))
     lines = [
         "strategy,n,m,num_steps,cnot_count,gate_depth,p_success",

@@ -4,8 +4,8 @@ import pytest
 
 from treeqaoa.bench import STRATEGIES, circuit_for, schedule_for
 from treeqaoa.circuits import (
-    AnsatzParams, CircuitIR, Gate, block_metrics, build_optimized, build_traditional,
-    check_circuit_size,
+    AnsatzParams, CircuitIR, Gate, ansatz_text, block_metrics, build_optimized,
+    build_traditional, check_circuit_size,
 )
 from treeqaoa.graphs import (
     Graph, canonical_edge, generate_complete, generate_cycle, generate_erdos_renyi,
@@ -262,6 +262,44 @@ def test_synthesis_matches_reference_past_128_steps():
     for strategy in STRATEGIES:
         assert schedule_for(g, strategy, 5, 4).num_steps > 128
         _assert_matches_reference(g, strategy, 5, 4, params_for(1), text=True)
+
+
+def _assert_text_matches_built_circuit(g, sched, params):
+    text = "".join(ansatz_text(g, params, sched))
+    assert text == circuit_text_reference(g.n, circuit_for(g, sched, params).gates)
+
+
+def test_ansatz_text_matches_the_built_circuit():
+    # the dump written from the blocks against the per-gate formatter of the
+    # built gates; half the angles are both zeros, integer-valued floats,
+    # large magnitudes or a subnormal, whose reprs a cache could confuse
+    special = [0.0, -0.0, 1.0, -2.0, 3e15, -7.5e200, 5e-324]
+    rng = np.random.default_rng(2222)
+    for _ in range(500):
+        n = int(rng.integers(2, 31))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.6)), seed=int(rng.integers(2 ** 32)))
+        root, B, p = int(rng.integers(n)), int(rng.integers(1, 11)), int(rng.integers(1, 4))
+        angles = [special[k] if (k := int(rng.integers(2 * len(special)))) < len(special)
+                  else float(rng.uniform(-2 * np.pi, 2 * np.pi)) for _ in range(2 * p)]
+        params = AnsatzParams(p, tuple(angles[:p]), tuple(angles[p:]))
+        for strategy in STRATEGIES:
+            _assert_text_matches_built_circuit(g, schedule_for(g, strategy, root, B), params)
+
+
+def test_ansatz_text_past_one_chunk():
+    # K130's 8385 edges fill more than one chunk of blocks per layer
+    g = generate_complete(130)
+    params = AnsatzParams(2, (0.3, -0.0), (2.0, 1.5))
+    for strategy in STRATEGIES:
+        _assert_text_matches_built_circuit(g, schedule_for(g, strategy, 5, 4), params)
+
+
+def test_ansatz_text_checks_at_the_call():
+    # refused before any chunk is taken, so the CLI opens no file for it
+    g = generate_cycle(4)
+    sched = StepSchedule(None, {e: 1 for e in g.edges})
+    expected = "schedule fails verification: incident edges (0, 1) and (0, 3) share step 1"
+    assert _error(ansatz_text, g, params_for(1), sched) == expected
 
 
 def _ir_metrics(g, sched, params):

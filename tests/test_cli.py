@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from itertools import permutations
 
@@ -218,25 +221,37 @@ def test_generator_caps_exit_nonzero(capsys):
         assert "disconnected samples" in capsys.readouterr().err
 
 
-def test_out_of_memory_exits_nonzero(tmp_path, capsys):
-    # K500 has 124,750 edges: its greedy circuit does not fit in 48 MiB
+def test_out_of_memory_exits_nonzero(tmp_path):
+    # K500 has 124,750 edges: reading them into a Graph does not fit in
+    # 16 MiB, which runs out before _ansatz_params' first numpy.random
+    # import. In a fresh process, since memory that earlier tests freed but
+    # left mapped in this one would let the Graph fit under the cap.
     k500 = tmp_path / "k500.txt"
     assert main(["gen", "--family", "complete", "--n", "500", "--out", str(k500)]) == 0
-    with address_space_cap(48 << 20):
-        code = main(["circuit", str(k500), "--strategy", "greedy",
-                     "--out", str(tmp_path / "circuit.txt")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    script = ("import sys\nfrom helpers import address_space_cap\nfrom treeqaoa.cli import main\n"
+              "with address_space_cap(16 << 20):\n    code = main(sys.argv[1:])\nsys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "circuit", str(k500), "--strategy", "greedy",
+         "--out", str(tmp_path / "circuit.txt")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "error: out of memory\n")
 
 
-def test_deep_tree_circuit_fits_in_memory(tmp_path, capsys):
+@pytest.mark.parametrize("family, n, flags, cap", [
     # a DFS tree of a long cycle is a path of 99,999 tree steps; a bit per
     # step per vertex anywhere in synthesis would be far over the cap
-    cycle = tmp_path / "cycle.txt"
-    assert main(["gen", "--family", "cycle", "--n", "100000", "--out", str(cycle)]) == 0
-    with address_space_cap(384 << 20):
-        code = main(["circuit", str(cycle), "--strategy", "dfs",
-                     "--out", str(tmp_path / "circuit.txt")])
+    ("cycle", "100000", ["--strategy", "dfs"], 384 << 20),
+    # K500 at p=3 is 1.1M gates; the dump is written from the blocks, so
+    # neither the gates nor their lines are ever held
+    ("complete", "500", ["--strategy", "greedy", "--p", "3"], 64 << 20),
+], ids=["long-cycle-dfs", "k500-greedy-p3"])
+def test_circuit_fits_in_memory(tmp_path, capsys, family, n, flags, cap):
+    graph = tmp_path / "g.txt"
+    assert main(["gen", "--family", family, "--n", n, "--out", str(graph)]) == 0
+    with address_space_cap(cap):
+        code = main(["circuit", str(graph), *flags, "--out", str(tmp_path / "circuit.txt")])
     assert code == 0, capsys.readouterr().err
 
 
@@ -314,6 +329,15 @@ def test_circuit_dump_keeps_the_sign_of_zero(tmp_path, capsys):
     assert main(["circuit", str(k2), "--gamma", "0.0", "--beta", "-0.0"]) == 0
     assert capsys.readouterr().out == ("2 6\nH 0\nH 1\nRZ 1 0.0\nCX 0 1\n"
                                        "RX 0 -0.0\nRX 1 -0.0\n")
+
+
+def test_circuit_writes_the_same_bytes_to_stdout_and_out(graph_file, tmp_path, capsys):
+    out = tmp_path / "circuit.txt"
+    for strategy in ("traditional", "greedy"):
+        argv = ["circuit", graph_file, "--strategy", strategy, "--p", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_oracle_checks_B_before_it_searches(tmp_path, capsys, monkeypatch):
