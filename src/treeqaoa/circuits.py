@@ -28,6 +28,7 @@ and the mixer adds 1 to every qubit. The depth is max(f); the CNOT count is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -38,6 +39,7 @@ from .trees import RootedSpanningTree
 MAX_CIRCUIT_GATES = 10_000_000  # about 1.3 GB at ~130 bytes per gate
 _ARITY = {"H": 1, "RX": 1, "RZ": 1, "CX": 2}  # the gate set and each gate's qubit count
 _TEXT_BLOCKS = 8192  # cost blocks per chunk of ansatz_text
+_MAX_ANGLE = sys.float_info.max / 2  # gates rotate by twice the angle, which must be finite
 
 
 class Gate(NamedTuple):
@@ -69,9 +71,11 @@ class AnsatzParams:
                 f"need {self.p} gammas and betas, got "
                 f"{len(self.gammas)} and {len(self.betas)}"
             )
-        if not all(map(math.isfinite, (*self.gammas, *self.betas))):
-            raise ValueError(f"angles must be finite, got gammas {self.gammas} "
-                             f"and betas {self.betas}")
+        for name in ("gammas", "betas"):
+            for i, angle in enumerate(getattr(self, name)):
+                if not abs(angle) <= _MAX_ANGLE:  # NaN-safe
+                    raise ValueError(f"angles must be finite, and so must twice each: "
+                                     f"{name}[{i}] = {angle!r}")
 
 
 class CircuitIR:

@@ -98,11 +98,13 @@ def _ansatz_params(args, g: Graph) -> AnsatzParams:
 
 def _cmd_gen(args) -> None:
     if args.family == "erdos-renyi":
-        g = generate_erdos_renyi(args.n, args.p_edge, args.seed)
-    elif args.family == "complete":
-        g = generate_complete(args.n)
+        p_edge = 0.5 if args.p_edge is None else args.p_edge
+        g = generate_erdos_renyi(args.n, p_edge, 0 if args.seed is None else args.seed)
     else:
-        g = generate_cycle(args.n)
+        for flag, value in (("--p-edge", args.p_edge), ("--seed", args.seed)):
+            if value is not None:  # only erdos-renyi reads them
+                raise ValueError(f"{args.family} takes no {flag}, got {value}")
+        g = generate_complete(args.n) if args.family == "complete" else generate_cycle(args.n)
     _emit(write_edge_list(g), args.out)
 
 
@@ -228,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("erdos-renyi", "complete", "cycle"),
                    required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p-edge", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p-edge", type=float, help="erdos-renyi only (default 0.5)")
+    p.add_argument("--seed", type=int, help="erdos-renyi only (default 0)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 

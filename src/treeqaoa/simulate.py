@@ -1,6 +1,15 @@
 """Statevector and noisy simulation of the ansatz circuits.
 
 Amplitudes are little-endian: basis index i encodes qubit q as bit q of i.
+The ideal engine applies the one-qubit gates before the first CX to per-qubit
+2-vectors and writes their product out once. After that, each maximal run of
+RZ(q, t) gates and CX(j, k) RZ(k, t) CX(j, k) triples, the latter exactly
+exp(-i t/2 Z_j Z_k), is one diagonal exp(-i E/2), E summing t s_q and t s_j s_k
+for signs s = +-1. A run with a triple builds E once (_zz_diagonal, which
+expected_cut shares) and multiplies psi by its phase, held in the spare
+buffer; a run of RZ gates alone takes one factor per axis. H, RX and a lone
+CX go through the kernels. Peak memory: psi, spare, and a float 2^n vector
+plus a half-length one while E is built.
 The noisy engine evolves a density matrix rho, held as its real Pauli
 coefficients r_P = Tr(P rho), applying a depolarizing channel after every
 gate (two-qubit for CNOT, one-qubit otherwise) plus an idle channel on every
@@ -97,19 +106,53 @@ def _gate_matrix(name: str, angle: float | None) -> np.ndarray:
 
 
 def run_ideal(c: CircuitIR) -> StateVector:
-    """Exact statevector from |0...0>."""
-    n = c.n_qubits
+    """Exact statevector from |0...0> (the module docstring has the method)."""
+    n, gates = c.n_qubits, c.gates
     if n > MAX_STATEVECTOR_QUBITS:
         raise ValueError(f"too many qubits for statevector: {n} > {MAX_STATEVECTOR_QUBITS}")
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[(0,) * n] = 1.0
+    vec, i = [np.array([1.0, 0.0], dtype=complex) for _ in range(n)], 0
+    while i < len(gates) and gates[i].name != "CX":
+        name, (q,), angle, _tag = gates[i]
+        vec[q], i = _gate_matrix(name, angle) @ vec[q], i + 1
+    psi = np.empty(2 ** n, dtype=complex)
+    psi[0] = 1.0
+    for q, (v0, v1) in enumerate(vec):  # psi = vec[q] (x) psi, bit q on top
+        np.multiply(psi[:1 << q], v1, out=psi[1 << q:2 << q])
+        psi[:1 << q] *= v0
+    psi = psi.reshape((2,) * n)
     spare = np.empty_like(psi)
-    for gate in c.gates:
-        if gate.name in ("CX", "RZ"):
-            _gate_inplace(psi, gate)
-        else:
-            _ptm_pass(psi, spare, gate.qubits, _gate_matrix(gate.name, gate.angle))
-            psi, spare = spare, psi
+    while i < len(gates):
+        h, J = {}, {}  # -t/2 summed per qubit and per pair (j < k)
+        while i < len(gates):
+            name, qubits, angle, _tag = gates[i]
+            if name == "RZ":
+                h[qubits[0]] = h.get(qubits[0], 0.0) - 0.5 * angle
+            elif (name == "CX" and i + 2 < len(gates) and gates[i + 1][:2] == ("RZ", qubits[1:])
+                  and gates[i + 2][:2] == ("CX", qubits)):
+                pair = tuple(sorted(qubits))
+                J[pair] = J.get(pair, 0.0) - 0.5 * gates[i + 1].angle
+                i += 2
+            else:
+                break
+            i += 1
+        if J:  # psi *= exp(i phase): the phase in one float vector, its exp in spare
+            phase = _zz_diagonal(n, h, J)
+            np.cos(phase, out=spare.reshape(-1).real)
+            np.sin(phase, out=spare.reshape(-1).imag)
+            del phase  # before the next run builds its own
+            psi *= spare
+        else:  # RZ gates alone: one factor per axis
+            for q, half in h.items():
+                f = np.exp(1j * half)
+                psi.reshape(-1, 2, 1 << q)[...] *= np.array([[f], [f.conjugate()]])
+        if i < len(gates):
+            name, qubits, angle, _tag = gates[i]
+            if name == "CX":
+                _gate_inplace(psi, gates[i])
+            else:
+                _ptm_pass(psi, spare, qubits, _gate_matrix(name, angle))
+                psi, spare = spare, psi
+            i += 1
     return StateVector(n, psi.reshape(-1))
 
 
@@ -120,52 +163,48 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def expected_cut(sv: StateVector, g: Graph) -> float:
-    """Expectation of the cut size: each edge contributes the probability
-    that its endpoints' bits differ."""
+    """Expectation of the cut size. An edge uv is cut where s_u s_v = -1, so
+    with C = sum_uv s_u s_v the cut is (m - C) / 2 and its mean
+    (m sum(p) - p.C) / 2 over the probabilities p."""
     if sv.n_qubits != g.n:
         raise ValueError(f"state has {sv.n_qubits} qubits, graph has {g.n} vertices")
-    probs = (np.abs(sv.amplitudes) ** 2).reshape((2,) * g.n)
-    cut = 0.0
-    for u, v in g.edges:  # qubit q is axis n-1-q
-        au, av = g.n - 1 - u, g.n - 1 - v
-        cut += _slot(probs, [(au, 0), (av, 1)]).sum() + _slot(probs, [(au, 1), (av, 0)]).sum()
-    return float(cut)
+    probs = np.abs(sv.amplitudes) ** 2
+    C = _zz_diagonal(g.n, {}, dict.fromkeys(g.edges, 1.0))
+    return float((g.m * probs.sum() - probs @ C) / 2)
+
+
+def _zz_diagonal(n: int, h: dict, J: dict) -> np.ndarray:
+    """E[x] = sum_q h[q] s_q + sum_{j<k} J[(j, k)] s_j s_k, s_q = 1 - 2 * (bit q
+    of x), doubled one bit k at a time: E + L, then E - L where bit k is set,
+    for L = h[k] + sum_{j<k} J[(j, k)] s_j, itself doubled over bits j < k."""
+    E, L = np.zeros(2 ** n), np.empty(2 ** max(n - 1, 0))
+    for k in range(n):
+        L[0] = h.get(k, 0.0)
+        for j in range(k):
+            np.subtract(L[:1 << j], J.get((j, k), 0.0), out=L[1 << j:2 << j])
+            L[:1 << j] += J.get((j, k), 0.0)
+        np.subtract(E[:1 << k], L[:1 << k], out=E[1 << k:2 << k])
+        E[:1 << k] += L[:1 << k]
+    return E
 
 
 # ---------------------------------------------------------------------------
 # Kernels. A statevector is a contiguous complex (2,)*n tensor with axis n-1-q
-# for qubit q: CX and RZ update slices of their qubits' axes in place, and H
-# and RX are one-axis products (_ptm_pass) into a spare buffer. The noisy state
+# for qubit q: CX swaps slices of its qubits' axes in place, and H and RX are
+# one-axis products (_ptm_pass) into a spare buffer. The noisy state
 # is r, a contiguous float (4,)*n tensor with axis n-1-q for qubit q, indexed
 # by I, X, Y, Z. There a gate is a real Pauli transfer matrix (PTM), and the
 # depolarizing channel after it scales the PTM's non-identity rows by 1-p;
 # maps on disjoint qubits commute, so run_noisy can fold them before a pass.
 
 
-def _slot(t: np.ndarray, assignments: list[tuple[int, int]]):
-    idx: list = [slice(None)] * t.ndim
-    for axis, bit in assignments:
-        idx[axis] = bit
-    # trailing ellipsis keeps fully-indexed results as 0-d views
-    return t[tuple(idx) + (Ellipsis,)]
-
-
 def _gate_inplace(t: np.ndarray, gate: Gate) -> None:
-    """Apply a CX or RZ gate to the statevector tensor t."""
-    if gate.name == "CX":
-        ca, ta = (t.ndim - 1 - q for q in gate.qubits)
-        a = _slot(t, [(ca, 1), (ta, 0)])
-        b = _slot(t, [(ca, 1), (ta, 1)])
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
-        return
-    axis = t.ndim - 1 - gate.qubits[0]
-    v0 = _slot(t, [(axis, 0)])
-    v1 = _slot(t, [(axis, 1)])
-    f = np.exp(-0.5j * gate.angle)
-    v0 *= f
-    v1 *= f.conjugate()
+    """Apply a CX gate to the statevector tensor t: swap the target's halves
+    where the control is 1."""
+    ones = np.moveaxis(t, [t.ndim - 1 - q for q in gate.qubits], (0, 1))[1]
+    tmp = ones[0].copy()
+    ones[0] = ones[1]
+    ones[1] = tmp
 
 
 @lru_cache(maxsize=256)

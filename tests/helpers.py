@@ -139,6 +139,17 @@ def gate_inplace_reference(t, top, gate, conj):
     v0[...] = new0
 
 
+def run_ideal_reference(c):
+    """simulate.run_ideal as it was before it folded diagonal runs: from
+    |0...0>, every gate in turn on a (2,)*n tensor (gate_inplace_reference)."""
+    n = c.n_qubits
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for gate in c.gates:
+        gate_inplace_reference(psi, n, gate, conj=False)
+    return psi.reshape(-1)
+
+
 def dm_depolarize_inplace(t, n, qubits, p):
     """Depolarize the (2,)*(2n) density tensor t on qubits, in place."""
     if p == 0.0:

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -200,6 +203,19 @@ def test_ansatz_params_refuse_non_finite_angles():
                           ((0.1, -float("inf")), (0.2, 0.3))):
         with pytest.raises(ValueError, match="angles must be finite"):
             AnsatzParams(p=len(gammas), gammas=gammas, betas=betas)
+
+
+def test_ansatz_params_refuse_angles_that_overflow_when_doubled():
+    # the gates rotate by twice each angle: the largest finite double halved
+    # is the largest accepted angle, and the message names the one refused
+    top = sys.float_info.max / 2
+    AnsatzParams(p=1, gammas=(top,), betas=(-top,))
+    for gammas, betas, name in (((1e308,), (0.2,), "gammas[0] = 1e+308"),
+                                ((0.1, 0.2), (0.3, -math.nextafter(top, math.inf)),
+                                 f"betas[1] = {-math.nextafter(top, math.inf)!r}")):
+        with pytest.raises(ValueError, match="angles must be finite") as info:
+            AnsatzParams(p=len(gammas), gammas=gammas, betas=betas)
+        assert str(info.value).endswith(name)
 
 
 def test_circuit_text_round_shape():

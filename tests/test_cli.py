@@ -196,6 +196,29 @@ def test_p_edge_is_refused_for_a_family_that_does_not_use_it(capsys):
     assert captured.out == "" and captured.err == "error: complete takes no p_edge, got 0.3\n"
 
 
+def test_gen_refuses_flags_its_family_does_not_read(capsys):
+    # unchecked, complete ignored --p-edge and --seed, and cycle --seed 9
+    # wrote the bytes of a plain cycle
+    for argv, message in (
+        (["--family", "complete", "--n", "4", "--p-edge", "0.3", "--seed", "5"],
+         "complete takes no --p-edge, got 0.3"),
+        (["--family", "cycle", "--n", "5", "--seed", "9"], "cycle takes no --seed, got 9"),
+        (["--family", "cycle", "--n", "5", "--seed", "0"], "cycle takes no --seed, got 0"),
+        (["--family", "complete", "--n", "4", "--p-edge", "0.5"],
+         "complete takes no --p-edge, got 0.5"),
+    ):
+        assert main(["gen", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # erdos-renyi reads both, with defaults 0.5 and 0
+    assert main(["gen", "--family", "erdos-renyi", "--n", "9"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["gen", "--family", "erdos-renyi", "--n", "9", "--p-edge", "0.5",
+                 "--seed", "0"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["gen", "--family", "erdos-renyi", "--n", "9", "--seed", "1"]) == 0
+    assert capsys.readouterr().out != plain
+
+
 def test_huge_header_exits_nonzero(tmp_path, capsys):
     hostile = tmp_path / "hostile.txt"
     hostile.write_text(HOSTILE_HEADER)
@@ -277,12 +300,16 @@ def test_nonpositive_layer_count_exits_nonzero(tmp_path, capsys):
 
 
 def test_non_finite_angles_exit_nonzero(graph_file, capsys):
-    # unchecked, simulate prints p_success nan and circuit dumps "RZ 1 inf"
-    for command, gamma in (("simulate", "nan"), ("circuit", "inf"), ("circuit", "0.1,-inf")):
+    # unchecked, simulate prints p_success nan and circuit dumps "RZ 1 inf",
+    # also for a finite angle whose double, the gates' angle, overflows
+    for command, gamma in (("simulate", "nan"), ("circuit", "inf"), ("circuit", "0.1,-inf"),
+                           ("circuit", "1e308"), ("simulate", "1e308")):
         beta = ",".join(["0.2"] * len(gamma.split(",")))
         assert main([command, graph_file, "--gamma", gamma, "--beta", beta]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: angles must be finite")
+        if gamma == "1e308":
+            assert captured.err.endswith(": gammas[0] = 1e+308\n")
 
 
 def test_layer_count_must_agree_with_the_angles(tmp_path, capsys):

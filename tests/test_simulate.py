@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,7 @@ from treeqaoa.simulate import (
     _kron,
     _ptm,
     _ptm_pass,
+    _zz_diagonal,
     expected_cut,
     fidelity,
     run_ideal,
@@ -34,6 +36,7 @@ from helpers import (
     run_matrix_oracle,
     run_noisy_dense,
     run_noisy_per_gate,
+    run_ideal_reference,
     run_noisy_reference,
 )
 
@@ -71,6 +74,101 @@ def test_run_ideal_matches_matrix_oracle():
             assert np.allclose(
                 run_ideal(circ).amplitudes, run_matrix_oracle(circ), atol=1e-12
             )
+
+
+def _angle(rng):
+    return float(rng.uniform(-2 * np.pi, 2 * np.pi)) if rng.random() > 0.1 else 0.0
+
+
+def _near_miss_circuit(rng, n):
+    """H on most qubits, then random fragments: CX RZ CX triples and their
+    near misses (a reversed second CX, the RZ on the control or on a third
+    qubit, the second CX on another pair), repeated triples on one pair in
+    either direction, runs of RZ alone, lone RZ CX blocks and lone CXs, H and
+    RX; sometimes a triple cut off at the end of the list."""
+    gates = [Gate("H", (q,)) for q in range(n) if rng.random() < 0.8]
+    for _ in range(int(rng.integers(0, 12))):
+        kind = int(rng.integers(10 if n > 2 else 8 if n > 1 else 2))
+        j, k, l = ([int(q) for q in rng.permutation(n)] * 3)[:3]  # distinct up to n
+        if kind == 0:  # RZ alone, one to three of them
+            gates += [Gate("RZ", (int(rng.integers(n)),), _angle(rng))
+                      for _ in range(int(rng.integers(1, 4)))]
+        elif kind == 1:  # H or RX, after the first CX too
+            gates.append(Gate("RX", (j,), _angle(rng)) if rng.random() < 0.5 else Gate("H", (j,)))
+        elif kind == 2:  # a full triple
+            gates += [Gate("CX", (j, k)), Gate("RZ", (k,), _angle(rng)), Gate("CX", (j, k))]
+        elif kind == 3:  # reversed second CX
+            gates += [Gate("CX", (j, k)), Gate("RZ", (k,), _angle(rng)), Gate("CX", (k, j))]
+        elif kind == 4:  # RZ on the control
+            gates += [Gate("CX", (j, k)), Gate("RZ", (j,), _angle(rng)), Gate("CX", (j, k))]
+        elif kind == 5:  # repeated triples on one pair, either direction
+            for a, b in ((j, k), (j, k) if rng.random() < 0.5 else (k, j)):
+                gates += [Gate("CX", (a, b)), Gate("RZ", (b,), _angle(rng)), Gate("CX", (a, b))]
+        elif kind == 6:  # a reduced block: RZ then a lone CX
+            gates += [Gate("RZ", (k,), _angle(rng)), Gate("CX", (j, k))]
+        elif kind == 7:  # a lone CX
+            gates.append(Gate("CX", (j, k)))
+        elif kind == 8:  # RZ on a third qubit
+            gates += [Gate("CX", (j, k)), Gate("RZ", (l,), _angle(rng)), Gate("CX", (j, k))]
+        else:  # the two CXs on different pairs
+            gates += [Gate("CX", (j, k)), Gate("RZ", (k,), _angle(rng)), Gate("CX", (l, k))]
+    if n > 1 and rng.random() < 0.3:  # a triple cut off at the end
+        j, k = (int(q) for q in rng.choice(n, size=2, replace=False))
+        gates += [Gate("CX", (j, k)), Gate("RZ", (k,), _angle(rng))][:int(rng.integers(1, 3))]
+    return CircuitIR(n, gates)
+
+
+def test_run_ideal_matches_the_per_gate_reference():
+    # the engine before diagonal runs, one gate at a time, on 1,200 builder
+    # circuits (every strategy, p = 1..3) and 1,000 hand-built near misses,
+    # plus circuits with no gates
+    rng = np.random.default_rng(23)
+    circuits = [CircuitIR(n, []) for n in (0, 1, 5)]
+    for i in range(300):
+        n, p = int(rng.integers(2, 10)), 1 + i % 3
+        g = generate_erdos_renyi(n, float(rng.uniform(0.3, 1.0)), seed=i)
+        params = AnsatzParams(p, tuple(_angle(rng) for _ in range(p)),
+                              tuple(_angle(rng) for _ in range(p)))
+        root, B = int(rng.integers(n)), int(rng.integers(1, 6))
+        circuits += [circuit_for(g, schedule_for(g, s, root, B), params) for s in STRATEGIES]
+    circuits += [_near_miss_circuit(rng, int(rng.integers(1, 8))) for _ in range(1000)]
+    for circ in circuits:
+        got, want = run_ideal(circ).amplitudes, run_ideal_reference(circ)
+        assert np.abs(got - want).max() <= 1e-12, circ.gates
+
+
+def test_zz_diagonal_matches_the_sign_sum():
+    # E[x] = sum h_q s_q + sum J_jk s_j s_k, s_q = +1 or -1 as bit q of x is 0 or 1
+    rng = np.random.default_rng(22)
+    for n in range(9):
+        h = {q: float(rng.normal()) for q in range(n) if rng.random() < 0.7}
+        J = {(j, k): float(rng.normal()) for j in range(n) for k in range(j + 1, n)
+             if rng.random() < 0.5}
+        s = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+        want = np.zeros(2 ** n)
+        for q, a in h.items():
+            want += a * s[:, q]
+        for (j, k), a in J.items():
+            want += a * s[:, j] * s[:, k]
+        assert np.allclose(_zz_diagonal(n, h, J), want, rtol=0, atol=1e-12)
+
+
+def test_run_ideal_holds_no_complex_temporary():
+    # psi, spare, and a run's float E plus its half-length buffer: 44 bytes a
+    # basis state, under the 48 of StateVector's norm check (psi, spare and two
+    # float temporaries); one more complex 2^n array would pass 48
+    n = 14
+    g = generate_erdos_renyi(n, 0.5, seed=n)
+    params = AnsatzParams(2, (0.3, 0.5), (0.7, 0.2))
+    for strategy in ("traditional", "greedy"):
+        circ = circuit_for(g, schedule_for(g, strategy, 0, 3), params)
+        tracemalloc.start()
+        try:
+            run_ideal(circ)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 32 * 2 ** n < peak <= 48 * 2 ** n + (64 << 10)
 
 
 def test_run_ideal_qubit_guard():
