@@ -145,10 +145,10 @@ def _cmd_simulate(args) -> None:
 
 def _bench_config(args) -> ExperimentConfig:
     family = args.family.replace("-", "_")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         family=family,
         n_values=_parse_int_list(args.n),
-        B_values=_parse_int_list(args.B),
+        B_values=(3,) if args.B is None else _parse_int_list(args.B),
         p_edge=args.p_edge,
         trials=args.trials,
         seed=args.seed,
@@ -156,6 +156,11 @@ def _bench_config(args) -> ExperimentConfig:
         noise=_parse_noise(args.noise) if getattr(args, "noise", None) else None,
         average_over_roots=args.average_over_roots,
     )
+    if args.B is not None and "greedy" not in cfg.strategies:
+        raise ValueError(f"only greedy takes --B, got --strategy {args.strategy}")
+    if args.average_over_roots and set(cfg.strategies) == {"traditional"}:
+        raise ValueError("traditional has no root, so it takes no --average-over-roots")
+    return cfg
 
 
 def _cmd_bench_depth(args) -> None:
@@ -210,7 +215,7 @@ def _add_sweep_args(p: argparse.ArgumentParser, trials: int) -> None:
                    required=True)
     p.add_argument("--p-edge", type=float, default=None)
     p.add_argument("--n", required=True, help="comma-separated vertex counts")
-    p.add_argument("--B", default="3", help="comma-separated B values")
+    p.add_argument("--B", help="comma-separated B values, greedy only (default 3)")
     p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strategy", default=",".join(SWEEP_STRATEGIES),

@@ -11,10 +11,12 @@ first fit gives it a step of at most level(u) + children(u). The least
 total over trees is the ground truth for the greedy heuristic.
 
 A branch of the recursion is abandoned once two lower bounds that only
-grow down it reach the best total so far; a finished tree is skipped
-uncolored when its full bounds (``step_lower_bounds``) do, and the leftover
-coloring looks only below what would beat it. The witness is the first
-tree, in enumeration order, of minimum total, with each phase's
+grow down it reach the best total so far. They start from the tree and
+leftover floors that every spanning tree meets (``tree_floors``), so once
+a tree reaches their sum every other branch is cut at once. A finished
+tree is skipped uncolored when its full bounds (``step_lower_bounds``) do,
+and the leftover coloring looks only below what would beat it. The witness
+is the first tree, in enumeration order, of minimum total, with each phase's
 lexicographically first minimum coloring. ``trees_enumerated`` counts
 every spanning tree, searched or not, by the matrix-tree theorem.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import perm
 
 from .graphs import Graph
 from .scheduling import StepSchedule, schedule_tree_ordered
@@ -113,6 +116,23 @@ def step_lower_bounds(adj: list[int], tree: list[int], level: list[int],
     return lb_tree, lb_rest
 
 
+def tree_floors(n: int, m: int) -> tuple[int, int]:
+    """Floors on the tree and leftover phases of every spanning tree of a
+    connected graph with n vertices and m edges.
+
+    A tree whose phase is t steps gives a level-l vertex at most t - l
+    children, so it has at most t!/(t-l)! vertices at level l and spans at
+    most N(t) = sum_{l<=t} t!/(t-l)! vertices (N(1..4) = 2, 5, 16, 65): the
+    tree floor is the least t with N(t) >= n. Every tree leaves m - n + 1
+    edges, and a step is a matching of at most floor(n/2) of them, so the
+    leftover needs at least ceil((m - n + 1) / floor(n/2)) steps.
+    """
+    t = 0
+    while sum(perm(t, l) for l in range(t + 1)) < n:
+        t += 1
+    return t, -(-(m - n + 1) // max(n // 2, 1))
+
+
 def _tree_coloring(order: list[tuple[int, int]], n: int) -> list[int]:
     """First-fit steps of a tree's (parent, child) edges in discovery order:
     each takes the smallest step on neither its root path nor an earlier sibling."""
@@ -188,14 +208,16 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
 
         avail holds the chosen and undecided edges and always connects the
         graph, so edges remain while size < n - 1. lb_tree is max_v of
-        base(v) + tree degree(v), lb_rest the largest excluded degree; both
-        only grow down the branch and bound its finished trees' bounds.
+        base(v) + tree degree(v), lb_rest the largest excluded degree, each
+        at least its ``tree_floors`` floor; both only grow down the branch
+        and bound its finished trees' bounds.
         """
         nonlocal best_total, best, leaves, colored
         if size == n - 1:
             leaves += 1
             level, order = _root(tree, root)
-            tree_min, lb_rest = step_lower_bounds(adj, tree, level, root)
+            tree_min, rest_lb = step_lower_bounds(adj, tree, level, root)
+            lb_rest = max(lb_rest, rest_lb)
             if tree_min + lb_rest >= best_total:
                 return
             colored += 1
@@ -224,7 +246,8 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
             rec(i + 1, size, lb_tree, lb)
         avail[u], avail[v] = avail[u] ^ 1 << v, avail[v] ^ 1 << u
 
-    rec(0, 0, max(dist), 0)
+    tree_floor, rest_floor = tree_floors(n, g.m)
+    rec(0, 0, max(*dist, tree_floor), rest_floor)
     trees = _tree_count(adj)
     logger.debug("oracle: %d trees counted, %d reached a leaf, %d colored",
                  trees, leaves, colored)

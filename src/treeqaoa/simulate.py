@@ -63,7 +63,7 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.amplitudes.shape != (2 ** self.n_qubits,):
             raise ValueError("amplitude vector has wrong length")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if not abs(norm - 1.0) <= 1e-10:  # NaN-safe
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
 

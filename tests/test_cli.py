@@ -219,6 +219,32 @@ def test_gen_refuses_flags_its_family_does_not_read(capsys):
     assert capsys.readouterr().out != plain
 
 
+def test_sweeps_refuse_flags_no_strategy_reads(capsys):
+    # unchecked, --B left B blank in every row and --average-over-roots
+    # wrote the rows of a plain run
+    sweep = ["--family", "cycle", "--n", "4", "--trials", "1"]
+    for command in ("bench-depth", "bench-success"):
+        for argv, message in (
+            (["--strategy", "traditional,dfs", "--B", "7"],
+             "only greedy takes --B, got --strategy traditional,dfs"),
+            (["--strategy", "traditional", "--B", "9"],
+             "only greedy takes --B, got --strategy traditional"),
+            (["--strategy", "traditional", "--average-over-roots"],
+             "traditional has no root, so it takes no --average-over-roots"),
+        ):
+            assert main([command, *sweep, *argv]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+    # greedy reads --B, whose default is 3, and dfs reads the root
+    er = ["bench-depth", "--family", "erdos-renyi", "--p-edge", "0.5", "--n", "7",
+          "--trials", "2"]
+    outputs = []
+    for argv in (["greedy,dfs"], ["greedy,dfs", "--B", "3"], ["traditional,dfs"],
+                 ["traditional,dfs", "--average-over-roots"]):
+        assert main([*er, "--strategy", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[2] != outputs[3]
+
+
 def test_huge_header_exits_nonzero(tmp_path, capsys):
     hostile = tmp_path / "hostile.txt"
     hostile.write_text(HOSTILE_HEADER)

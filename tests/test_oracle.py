@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -14,11 +15,12 @@ from treeqaoa.oracle import (
     heuristic_gap,
     solve_exact,
     step_lower_bounds,
+    tree_floors,
 )
-from treeqaoa.scheduling import schedule_tree_ordered, verify_schedule
+from treeqaoa.scheduling import schedule_to_text, schedule_tree_ordered, verify_schedule
 from treeqaoa.trees import HeuristicConfig, RootedSpanningTree, build_greedy_tree
 
-from helpers import _min_coloring, solve_exact_reference
+from helpers import _min_coloring, _spanning_trees, solve_exact_reference
 
 
 def star(k):
@@ -207,7 +209,9 @@ def test_k8_logs_the_pruned_search(caplog):
     assert record.levelno == logging.DEBUG
     counted, leaves, colored = record.args
     assert counted == 262144
-    assert 0 < colored <= leaves < counted
+    # the floors (3 + 6 = 9) equal K8's optimum, so once a tree reaches 9
+    # every other branch is cut: 120 trees reach a leaf, 29,309 without them
+    assert 0 < colored <= leaves <= 1000
 
 
 def test_matches_reference_oracle_at_eight_vertices():
@@ -233,11 +237,9 @@ def test_matches_reference_oracle_at_eight_vertices():
     assert len(graphs) >= 150
 
 
-def test_tree_phase_is_its_bound_met_by_first_fit():
-    # the reference's exact tree-phase search must return the tree bound of
-    # step_lower_bounds and the first-fit coloring, on random parent arrays
-    # (n 2..10, relabelled, each parent before its children) and on the dfs,
-    # bfs and greedy trees of seeded ER graphs
+def drawn_trees():
+    """Random parent arrays (n 2..10, relabelled, each parent before its
+    children) and the dfs, bfs and greedy trees of seeded ER graphs."""
     rng = np.random.default_rng(1818)
     trees = []
     for _ in range(1800):
@@ -250,6 +252,13 @@ def test_tree_phase_is_its_bound_met_by_first_fit():
         g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.9)), seed=int(rng.integers(10 ** 6)))
         root, B = int(rng.integers(n)), int(rng.integers(1, 7))
         trees += [tree_for(g, strategy, root, B) for strategy in TREE_STRATEGIES]
+    return trees
+
+
+def test_tree_phase_is_its_bound_met_by_first_fit():
+    # the reference's exact tree-phase search must return the tree bound of
+    # step_lower_bounds and the first-fit coloring
+    trees = drawn_trees()
     for t in trees:
         order = list(t.discovery_order)
         tree = masks(t.n, order)
@@ -258,3 +267,57 @@ def test_tree_phase_is_its_bound_met_by_first_fit():
         parent_edge = [child_edge.get(u, -1) for u, _v in order]
         assert _min_coloring(order, parent_edge, t.n) == (lb_tree, _tree_coloring(order, t.n))
     assert len(trees) >= 3000
+
+
+def test_tree_floor_is_met_and_attained():
+    # every drawn tree's phase is at least the floor of its vertex count
+    for t in drawn_trees():
+        tree = masks(t.n, t.discovery_order)
+        lb_tree, _ = step_lower_bounds(tree, tree, list(t.level), t.root)
+        assert tree_floors(t.n, t.n - 1)[0] <= lb_tree
+    # the fullest tree of phase t, where each level-l vertex has t - l
+    # children, spans N(t) = 1, 2, 5, 16, 65 vertices: the floor is t there
+    # and t + 1 one vertex later
+    for t, size in enumerate((1, 2, 5, 16, 65)):
+        order, level, frontier = [], [0], [0]
+        for l in range(t):
+            kids = [u for u in frontier for _ in range(t - l)]
+            frontier = list(range(len(level), len(level) + len(kids)))
+            order += zip(kids, frontier)
+            level += [l + 1] * len(kids)
+        tree = masks(len(level), order)
+        assert len(level) == size
+        assert step_lower_bounds(tree, tree, level, 0)[0] == t
+        assert tree_floors(size, size - 1)[0] == t
+        assert tree_floors(size + 1, size)[0] == t + 1
+
+
+def test_leftover_floor_is_met_by_every_spanning_tree():
+    # the leftover floor is at most the exact edge-chromatic number of
+    # every spanning tree's leftover edges
+    rng = np.random.default_rng(2424)
+    trees = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        g = generate_erdos_renyi(n, float(rng.uniform(0.3, 1.0)), seed=int(rng.integers(10 ** 6)))
+        _, rest_floor = tree_floors(g.n, g.m)
+        for tree_idx in _spanning_trees(g):
+            trees += 1
+            chosen = {g.edges[i] for i in tree_idx}
+            rest = [e for e in g.edges if e not in chosen]
+            assert rest_floor <= _min_coloring(rest, [-1] * len(rest), n)[0]
+    assert trees >= 1000
+
+
+@pytest.mark.parametrize("n, best_steps, trees, text_sha256", [
+    (6, 7, 1296, "8ccc0791212a6ede9b9f53f60e7b8389c3aaab9b4b840b60c8a6e196035d74f3"),
+    (7, 8, 16807, "a277d045ebc80328edc3717a8e4bef808b6b035dce5d1c4de188af4a473c17fd"),
+    (8, 9, 262144, "2cff3366ad23895284a751a7b65719eab9ec781b079a079958a7f16091512c15"),
+])
+def test_complete_graph_pins(n, best_steps, trees, text_sha256):
+    # pinned from the search without the floors, which must not move them
+    g = generate_complete(n)
+    result = solve_exact(g, 0)
+    assert (result.best_steps, result.trees_enumerated) == (best_steps, trees)
+    text = schedule_to_text(g, result.witness_schedule)
+    assert hashlib.sha256(text.encode()).hexdigest() == text_sha256

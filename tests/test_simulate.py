@@ -155,8 +155,8 @@ def test_zz_diagonal_matches_the_sign_sum():
 
 def test_run_ideal_holds_no_complex_temporary():
     # psi, spare, and a run's float E plus its half-length buffer: 44 bytes a
-    # basis state, under the 48 of StateVector's norm check (psi, spare and two
-    # float temporaries); one more complex 2^n array would pass 48
+    # basis state. StateVector's norm check (np.vdot) allocates nothing of
+    # size 2^n, so one more float 2^n temporary would pass 44
     n = 14
     g = generate_erdos_renyi(n, 0.5, seed=n)
     params = AnsatzParams(2, (0.3, 0.5), (0.7, 0.2))
@@ -168,7 +168,7 @@ def test_run_ideal_holds_no_complex_temporary():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 32 * 2 ** n < peak <= 48 * 2 ** n + (64 << 10)
+        assert 32 * 2 ** n < peak <= 44 * 2 ** n + (64 << 10)
 
 
 def test_run_ideal_qubit_guard():
