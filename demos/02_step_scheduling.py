@@ -44,5 +44,5 @@ assert verify_schedule(c6, dfs_sched) == []
 bad = dict(dfs_sched.step_of)
 bad[(0, 5)] = 1  # shove the non-tree edge into the tree phase
 from treeqaoa import StepSchedule
-broken = StepSchedule(dfs_sched.tree, bad)
+broken = StepSchedule(c6, dfs_sched.tree, bad)
 print("\ninjected violation:", verify_schedule(c6, broken)[0])

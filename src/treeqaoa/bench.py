@@ -9,14 +9,14 @@ fixed float formatting (CSV schema v1, documented in the README).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import AnsatzParams, block_metrics, build_optimized, build_traditional
 from .graphs import Graph, generate_complete, generate_cycle, generate_erdos_renyi
 from .scheduling import StepSchedule, schedule_traditional, schedule_tree_ordered
-from .simulate import NoiseParams, run_noisy
+from .simulate import NoiseParams, check_density_qubits, run_noisy
 from .trees import (
     HeuristicConfig, RootedSpanningTree, build_bfs_tree, build_dfs_tree, build_greedy_tree,
 )
@@ -161,7 +161,10 @@ def _row(cfg: ExperimentConfig, n: int, strategy: str, B: int | None, **metrics)
 
 
 def run_depth_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Steps / gate-depth / CNOT metrics per (n, strategy[, B]) cell."""
+    """Steps / gate-depth / CNOT metrics per (n, strategy[, B]) cell; complete
+    and cycle have one graph per n, so they run one instance whatever trials."""
+    if cfg.family != "erdos_renyi":
+        cfg = replace(cfg, trials=1)
     rows: list[dict] = []
     for (n, strategy, B), instances in _cells(cfg):
         steps, tree_steps, metrics = [], [], []
@@ -188,6 +191,7 @@ def run_success_experiment(cfg: ExperimentConfig) -> list[dict]:
     random (gamma, beta) pair are shared across strategies."""
     if cfg.noise is None:
         raise ValueError("success experiment needs noise parameters")
+    check_density_qubits(cfg.n_values[-1])  # the largest n, before any run
     rows: list[dict] = []
     for (n, strategy, B), instances in _cells(cfg):
         losses = []

@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .oracle import heuristic_gap, solve_exact
 from .scheduling import schedule_to_text
-from .simulate import NoiseParams, run_noisy
+from .simulate import NoiseParams, check_density_qubits, run_noisy
 from .trees import HeuristicConfig, tree_to_text
 
 # Unused here since strategy dispatch lives in bench.py, but
@@ -128,6 +128,7 @@ def _cmd_circuit(args) -> None:
 
 def _cmd_simulate(args) -> None:
     g = _load_graph(args.graph)
+    check_density_qubits(g.n)
     params = _ansatz_params(args, g)
     sched = schedule_for(g, args.strategy, args.root, args.B)
     circ = circuit_for(g, sched, params)
@@ -150,8 +151,8 @@ def _bench_config(args) -> ExperimentConfig:
         n_values=_parse_int_list(args.n),
         B_values=(3,) if args.B is None else _parse_int_list(args.B),
         p_edge=args.p_edge,
-        trials=args.trials,
-        seed=args.seed,
+        trials=args.default_trials if args.trials is None else args.trials,
+        seed=0 if args.seed is None else args.seed,
         strategies=tuple(args.strategy.split(",")),
         noise=_parse_noise(args.noise) if getattr(args, "noise", None) else None,
         average_over_roots=args.average_over_roots,
@@ -164,7 +165,11 @@ def _bench_config(args) -> ExperimentConfig:
 
 
 def _cmd_bench_depth(args) -> None:
-    rows = run_depth_experiment(_bench_config(args))
+    cfg = _bench_config(args)
+    for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+        if value is not None and cfg.family != "erdos_renyi":  # one graph per n: one instance
+            raise ValueError(f"{args.family} takes no {flag}, got {value}")
+    rows = run_depth_experiment(cfg)
     _emit(rows_to_csv(rows, DEPTH_COLUMNS), args.out)
 
 
@@ -216,12 +221,13 @@ def _add_sweep_args(p: argparse.ArgumentParser, trials: int) -> None:
     p.add_argument("--p-edge", type=float, default=None)
     p.add_argument("--n", required=True, help="comma-separated vertex counts")
     p.add_argument("--B", help="comma-separated B values, greedy only (default 3)")
-    p.add_argument("--trials", type=int, default=trials)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help=f"instances per n (default {trials})")
+    p.add_argument("--seed", type=int, help="instance seed (default 0)")
     p.add_argument("--strategy", default=",".join(SWEEP_STRATEGIES),
                    help=f"comma-separated subset of {','.join(STRATEGIES)}")
     p.add_argument("--average-over-roots", action="store_true")
     p.add_argument("--out")
+    p.set_defaults(default_trials=trials)  # None above tells a given --trials apart
 
 
 def build_parser() -> argparse.ArgumentParser:

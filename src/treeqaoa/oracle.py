@@ -17,8 +17,8 @@ a tree reaches their sum every other branch is cut at once. A finished
 tree is skipped uncolored when its full bounds (``step_lower_bounds``) do,
 and the leftover coloring looks only below what would beat it. The witness
 is the first tree, in enumeration order, of minimum total, with each phase's
-lexicographically first minimum coloring. ``trees_enumerated`` counts
-every spanning tree, searched or not, by the matrix-tree theorem.
+lexicographically first minimum coloring, built once after the search.
+``trees_enumerated`` counts every spanning tree by the matrix-tree theorem.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
     dist, _ = _root(adj, root)
     base = [d - (v != root) for v, d in enumerate(dist)]
     best_total = g.m + 1  # above every tree's total, so the first tree wins
-    best: StepSchedule | None = None
+    best: tuple | None = None  # the best tree's order, tree phase and leftover colors
     avail, tree, parent = adj.copy(), [0] * n, list(range(n))
     leaves = colored = 0
 
@@ -224,10 +224,7 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
             rest = [(u, v) for u, v in edges if not tree[u] >> v & 1]
             rest_min, rest_colors = _min_coloring(rest, n, lb_rest, best_total - tree_min)
             if rest_colors is not None:
-                t = RootedSpanningTree(root, tuple(order))
-                step_of = dict(zip(t.edges, _tree_coloring(order, n)))
-                step_of.update((e, tree_min + c) for e, c in zip(rest, rest_colors))
-                best = StepSchedule(t, step_of)
+                best = (order, tree_min, rest_colors)
                 best_total = tree_min + rest_min
             return
         u, v = edges[i]
@@ -252,7 +249,13 @@ def solve_exact(g: Graph, root: int) -> OracleResult:
     logger.debug("oracle: %d trees counted, %d reached a leaf, %d colored",
                  trees, leaves, colored)
     assert best is not None
-    return OracleResult(best_steps=best_total, witness_schedule=best, trees_enumerated=trees)
+    order, tree_min, rest_colors = best
+    t = RootedSpanningTree(root, tuple(order))
+    tree_step = dict(zip(t.edges, _tree_coloring(order, n)))
+    rest = iter(rest_colors)  # the leftover edges' colors, in canonical order
+    steps = [tree_step[e] if e in tree_step else tree_min + next(rest) for e in edges]
+    witness = StepSchedule.aligned(g, t, steps, [edges.index(e) for e in t.edges])
+    return OracleResult(best_steps=best_total, witness_schedule=witness, trees_enumerated=trees)
 
 
 def heuristic_gap(g: Graph, root: int, cfg: HeuristicConfig) -> tuple[int, int]:

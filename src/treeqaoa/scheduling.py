@@ -12,12 +12,12 @@ discovery order, takes the step of the vertex's own tree edge plus j.
 
 A schedule holds its steps as a tuple aligned with the graph's sorted
 ``g.edges``, so its consumers walk edges by position; a tree edge's
-position is found once, by bisection. The ``step_of`` map is derived from
-that tuple for the callers that want one.
+position is found once, by bisection, when the schedule is made.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .graphs import Edge, Graph, canonical_edge
@@ -26,50 +26,46 @@ from .trees import RootedSpanningTree
 
 @dataclass(init=False)
 class StepSchedule:
-    """Steps (1-based) of sorted edges: steps[i] is the step of edges[i]. The
-    schedule is tree-ordered over tree, or traditional exactly when tree is
-    None. A builder's edges is its graph's ``g.edges`` itself.
-
-    ``StepSchedule(tree, step_of)`` sorts any edge -> step map, missing or
-    extra edges included (verify_schedule reports them), and refuses a step
-    that is not an int. ``step_of`` is that map as a plain dict, derived on
-    first read and read-only by contract.
-    """
+    """Steps (1-based) of g's sorted edges: steps[i] is the step of edges[i],
+    and edges is ``g.edges`` itself. Tree-ordered over tree, or traditional
+    exactly when tree is None. ``StepSchedule(g, tree, step_of)`` alone
+    decides whether a map schedules g: it raises ValueError at the first
+    edge of g with no step, key that is not an edge of g, step that is not
+    an int, or tree that does not span g."""
 
     tree: RootedSpanningTree | None
     edges: tuple[Edge, ...]
     steps: tuple[int, ...]
-    _step_of: dict[Edge, int] | None = field(default=None, compare=False, repr=False)
-    _tree_at: list[int] | None = field(default=None, compare=False, repr=False)
+    _tree_at: list[int] = field(compare=False, repr=False)
 
-    def __init__(self, tree: RootedSpanningTree | None, step_of: dict[Edge, int]):
-        self.tree, self.edges = tree, tuple(sorted(step_of))
-        self.steps = tuple(map(step_of.__getitem__, self.edges))
-        for e, s in zip(self.edges, self.steps):
+    def __init__(self, g: Graph, tree: RootedSpanningTree | None, step_of: dict[Edge, int]):
+        edges = g.edges
+        if (missing := next((e for e in edges if e not in step_of), None)) is not None:
+            raise ValueError(f"edge {missing} has no step")
+        if len(step_of) != len(edges):  # every edge is a key, so some key is not an edge
+            raise ValueError(f"scheduled edge {min(step_of.keys() - set(edges))} not in graph")
+        steps = tuple(map(step_of.__getitem__, edges))
+        for e, s in zip(edges, steps):
             if type(s) is not int:
                 raise ValueError(f"edge {e} has step {s!r}, not an int")
+        self.tree, self.edges, self.steps = tree, edges, steps
+        self._tree_at = [] if tree is None else _positions(g, tree)
 
     @classmethod
-    def aligned(cls, g: Graph, tree: RootedSpanningTree | None, steps) -> StepSchedule:
-        """The schedule that runs g.edges[i] at steps[i]."""
+    def aligned(cls, g: Graph, tree: RootedSpanningTree | None, steps,
+                tree_at: list[int]) -> StepSchedule:
+        """Unchecked: g.edges[i] runs at steps[i]; tree_at is as tree_index()."""
         sched = cls.__new__(cls)
-        sched.tree, sched.edges, sched.steps = tree, g.edges, tuple(steps)
+        sched.tree, sched.edges, sched.steps, sched._tree_at = tree, g.edges, tuple(steps), tree_at
         return sched
 
     @property
     def step_of(self) -> dict[Edge, int]:
-        """Edge -> step, built on first read."""
-        if self._step_of is None:
-            self._step_of = dict(zip(self.edges, self.steps))
-        return self._step_of
+        """Edge -> step, a new plain dict on each read."""
+        return dict(zip(self.edges, self.steps))
 
     def tree_index(self) -> list[int]:
-        """Position in edges of each tree edge, in discovery order ([] without
-        a tree), found once; ValueError if a tree edge has no step."""
-        if self._tree_at is None:
-            self._tree_at = [] if self.tree is None else _positions(self.edges, self.tree)
-            if self._tree_at is None:
-                raise ValueError("tree edge missing from schedule")
+        """Position in edges of each tree edge, in discovery order."""
         return self._tree_at
 
     @property
@@ -86,21 +82,22 @@ class StepSchedule:
             return 0
         level = self.tree.level
         return sum(self.steps[i] - level[v]
-                   for i, (_u, v) in zip(self.tree_index(), self.tree.edges.values()))
+                   for i, (_u, v) in zip(self._tree_at, self.tree.edges.values()))
 
     def tree_steps(self) -> int:
         """Max step over tree edges (0 for the traditional strategy)."""
-        return max((self.steps[i] for i in self.tree_index()), default=0)
+        return max((self.steps[i] for i in self._tree_at), default=0)
 
 
-def _positions(edges: tuple[Edge, ...], t: RootedSpanningTree) -> list[int] | None:
-    """Position of each of t's edges in the sorted edges, in discovery order,
-    by bisection; None if one is absent."""
-    from bisect import bisect_left
-
-    index = [bisect_left(edges, e) for e in t.edges]
-    found = all(i < len(edges) and edges[i] == e for i, e in zip(index, t.edges))
-    return index if found else None
+def _positions(g: Graph, t: RootedSpanningTree) -> list[int]:
+    """Position of each of t's edges in g.edges, in discovery order, by
+    bisection; ValueError if t does not span g."""
+    edges = g.edges
+    if t.n == g.n:
+        index = [bisect_left(edges, e) for e in t.edges]
+        if all(i < len(edges) and edges[i] == e for i, e in zip(index, t.edges)):
+            return index
+    raise ValueError("tree does not span this graph")
 
 
 def _greedy_color(g: Graph, steps: list[int], base: int) -> list[int]:
@@ -119,7 +116,7 @@ def _greedy_color(g: Graph, steps: list[int], base: int) -> list[int]:
 
 def schedule_traditional(g: Graph) -> StepSchedule:
     """Greedy edge coloring in canonical edge order."""
-    return StepSchedule.aligned(g, None, _greedy_color(g, [0] * g.m, base=0))
+    return StepSchedule.aligned(g, None, _greedy_color(g, [0] * g.m, base=0), [])
 
 
 def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
@@ -132,25 +129,19 @@ def schedule_tree_ordered(g: Graph, t: RootedSpanningTree) -> StepSchedule:
     edges then take the traditional coloring shifted past the last tree
     step.
     """
-    index = _positions(g.edges, t) if t.n == g.n else None
-    if index is None:
-        raise ValueError("tree does not span this graph")
-
+    index = _positions(g, t)
     steps = [0] * g.m
     last = [0] * g.n  # each vertex's latest tree step so far; 0 at the root to start
     for i, (u, v) in zip(index, t.edges.values()):
         last[u] += 1
         last[v] = steps[i] = last[u]
-
-    sched = StepSchedule.aligned(g, t, _greedy_color(g, steps, base=max(last)))
-    sched._tree_at = index
-    return sched
+    return StepSchedule.aligned(g, t, _greedy_color(g, steps, base=max(last)), index)
 
 
 def tree_order_fault(sched: StepSchedule) -> str | None:
     """The first tree edge, in discovery order, whose step is not above its
     parent edge's, worded, else None: a dropped CNOT is the identity only
-    while its child is in |+>. Needs every tree edge to have a step."""
+    while its child is in |+>."""
     if sched.tree is None:
         return None
     steps, up = sched.steps, {}  # up: each child's own tree edge and its step
@@ -165,21 +156,16 @@ def tree_order_fault(sched: StepSchedule) -> str | None:
 def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
     """Independent legality check; returns human-readable violations.
 
-    Checks that every graph edge has a step, that edges sharing a vertex
-    never share a step, and (for tree-ordered schedules) that no tree edge
-    reuses a step of any of its tree ancestors and that every non-tree edge
-    comes strictly after the whole tree phase. Never raises. O(n + m), unless
-    tree_order_fault finds a fault: then Θ(n·h) bits of root-path masks.
+    A schedule made for another graph gets the one violation that says so.
+    Otherwise checks that edges sharing a vertex never share a step, and
+    (for tree-ordered schedules) that no tree edge reuses a step of any of
+    its tree ancestors and that every non-tree edge comes strictly after the
+    whole tree phase. Never raises. O(n + m), unless tree_order_fault finds a
+    fault: then Θ(n·h) bits of root-path masks.
     """
-    edges, steps, violations = g.edges, sched.steps, []
-    if sched.edges is not edges and sched.edges != edges:  # then scan by key
-        step_of = sched.step_of
-        violations = [f"edge {e} has no step" for e in edges if e not in step_of]
-        if len(step_of) > len(edges) - len(violations):  # keys that are not graph edges
-            violations += [f"scheduled edge {e} not in graph"
-                           for e in sorted(step_of.keys() - set(edges))]
-        edges = [e for e in edges if e in step_of]
-        steps = [step_of[e] for e in edges]
+    edges, steps = g.edges, sched.steps
+    if sched.edges is not edges and sched.edges != edges:
+        return ["schedule does not cover exactly this graph's edges"]
 
     # one pass with each vertex's {step: first edge}; the stable sort lists
     # clashes by step, in canonical order within a step
@@ -189,15 +175,11 @@ def verify_schedule(g: Graph, sched: StepSchedule) -> list[str]:
         for vtx in e:
             if (owner := first[vtx].setdefault(s, e)) is not e:  # another edge holds s
                 clashes.append((s, f"incident edges {owner} and {e} share step {s}"))
-    violations += [message for _s, message in sorted(clashes, key=lambda c: c[0])]
+    violations = [message for _s, message in sorted(clashes, key=lambda c: c[0])]
 
     t = sched.tree
     if t is not None:
-        try:
-            index = sched.tree_index()
-        except ValueError as missing:
-            return violations + [str(missing)]
-        tree_step = [sched.steps[i] for i in index]
+        tree_step = [steps[i] for i in sched.tree_index()]
         if tree_order_fault(sched) is not None:  # else steps rise down root paths: no reuse
             # path[v]: a bit per step on the root-to-v path, indexed by the step's
             # dense rank (one bit for any size); up[v]: the step of v's tree edge

@@ -267,6 +267,12 @@ def _overlap(r: np.ndarray, psi: np.ndarray, spare: np.ndarray) -> float:
     return float(z[0].real + z[0].imag)
 
 
+def check_density_qubits(n: int) -> None:
+    """Refuse a noisy run on n > MAX_DENSITY_QUBITS qubits, before synthesis."""
+    if n > MAX_DENSITY_QUBITS:
+        raise ValueError(f"too many qubits for density matrix: {n} > {MAX_DENSITY_QUBITS}")
+
+
 def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
     """Noisy evolution of c under per-gate and per-step depolarizing noise.
 
@@ -276,8 +282,7 @@ def run_noisy(c: CircuitIR, noise: NoiseParams) -> SimResult:
     on another pair comes; pending[(q,)] is the 4x4 map owed to qubit q after F.
     """
     n = c.n_qubits
-    if n > MAX_DENSITY_QUBITS:
-        raise ValueError(f"too many qubits for density matrix: {n} > {MAX_DENSITY_QUBITS}")
+    check_density_qubits(n)
     psi = run_ideal(c).amplitudes
     # |0...0><0...0| = prod_q (I + Z_q) / 2: coefficient 1 on every string of I and Z
     r = np.zeros((4,) * n)

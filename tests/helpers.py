@@ -490,18 +490,10 @@ def schedule_reference(g, t=None):
 def verify_schedule_reference(g, sched):
     """verify_schedule as it was before the linear rewrite: edges grouped by
     step in a dict of lists, and every tree edge's ancestor chain walked."""
-    violations = []
-    missing = set(g.edges) - set(sched.step_of)
-    for e in sorted(missing):
-        violations.append(f"edge {e} has no step")
-    extra = set(sched.step_of) - set(g.edges)
-    for e in sorted(extra):
-        violations.append(f"scheduled edge {e} not in graph")
-
-    scheduled = [e for e in g.edges if e in sched.step_of]
+    violations, step_of = [], sched.step_of
     by_step = defaultdict(list)
-    for e in scheduled:
-        by_step[sched.step_of[e]].append(e)
+    for e in g.edges:
+        by_step[step_of[e]].append(e)
     for s in sorted(by_step):
         owner = {}
         for e in by_step[s]:
@@ -516,9 +508,6 @@ def verify_schedule_reference(g, sched):
     t = sched.tree
     if t is not None:
         tree_edges = tree_edge_set(t)
-        if not tree_edges <= set(sched.step_of):
-            violations.append("tree edge missing from schedule")
-            return violations
         parent = tree_views_reference(t)[0]
         for u, v in t.discovery_order:
             e = canonical_edge(u, v)
@@ -526,17 +515,17 @@ def verify_schedule_reference(g, sched):
             while parent[node] is not None:
                 p = parent[node]
                 anc = canonical_edge(p, node)
-                if sched.step_of[anc] == sched.step_of[e]:
+                if step_of[anc] == step_of[e]:
                     violations.append(
-                        f"tree edge {e} reuses step {sched.step_of[e]} "
+                        f"tree edge {e} reuses step {step_of[e]} "
                         f"of its ancestor {anc}"
                     )
                 node = p
-        max_tree_step = max(sched.step_of[e] for e in tree_edges)
-        for e in scheduled:
-            if e not in tree_edges and sched.step_of[e] <= max_tree_step:
+        max_tree_step = max(step_of[e] for e in tree_edges)
+        for e in g.edges:
+            if e not in tree_edges and step_of[e] <= max_tree_step:
                 violations.append(
-                    f"non-tree edge {e} at step {sched.step_of[e]} does not "
+                    f"non-tree edge {e} at step {step_of[e]} does not "
                     f"follow the tree phase (last tree step {max_tree_step})"
                 )
     return violations
@@ -728,6 +717,6 @@ def solve_exact_reference(g: Graph, root: int) -> OracleResult:
     assert best is not None and best_total is not None
     return OracleResult(
         best_steps=best_total,
-        witness_schedule=StepSchedule(*best),
+        witness_schedule=StepSchedule(g, *best),
         trees_enumerated=trees_seen,
     )

@@ -171,7 +171,7 @@ def test_builder_validation():
     # corrupt the schedule: child edge reuses its parent's step
     bad = dict(tree_sched.step_of)
     bad[(1, 2)] = bad[(0, 1)]
-    broken = StepSchedule(t, bad)
+    broken = StepSchedule(g, t, bad)
     with pytest.raises(ValueError, match="verification"):
         build_optimized(g, params_for(1), t, broken)
     # schedule over a different graph
@@ -313,7 +313,7 @@ def test_ansatz_text_past_one_chunk():
 def test_ansatz_text_checks_at_the_call():
     # refused before any chunk is taken, so the CLI opens no file for it
     g = generate_cycle(4)
-    sched = StepSchedule(None, {e: 1 for e in g.edges})
+    sched = StepSchedule(g, None, {e: 1 for e in g.edges})
     expected = "schedule fails verification: incident edges (0, 1) and (0, 3) share step 1"
     assert _error(ansatz_text, g, params_for(1), sched) == expected
 
@@ -361,11 +361,11 @@ def test_block_metrics_refuse_like_the_builders():
     reused[(1, 2)] = reused[(0, 1)]  # child edge reuses its parent's step
     non_tree = next(e for e in g.edges if e not in t.edges)
     cases = [
-        (StepSchedule(t, reused), params_for(1), "fails verification: incident edges"),
-        (StepSchedule(None, {e: s for e, s in trad_sched.step_of.items() if e != (0, 1)}),
-         params_for(1), "verification: edge (0, 1) has no step"),
-        (StepSchedule(t, {e: s for e, s in tree_sched.step_of.items() if e != non_tree}),
-         params_for(1), f"verification: edge {non_tree} has no step"),
+        (StepSchedule(g, t, reused), params_for(1), "fails verification: incident edges"),
+        (schedule_traditional(generate_cycle(4)), params_for(1),
+         "verification: schedule does not cover exactly this graph's edges"),
+        (schedule_tree_ordered(generate_cycle(6), build_dfs_tree(generate_cycle(6), 0)),
+         params_for(1), "verification: schedule does not cover exactly this graph's edges"),
         (trad_sched, params_for(10 ** 6), "cap"),
     ]
     for sched, params, expected in cases:
@@ -377,7 +377,7 @@ def test_block_metrics_refuse_like_the_builders():
 def test_traditional_incident_clash_is_refused():
     # every 4-cycle edge at step 1, so each vertex meets two edges in one step
     g = generate_cycle(4)
-    sched = StepSchedule(None, {e: 1 for e in g.edges})
+    sched = StepSchedule(g, None, {e: 1 for e in g.edges})
     expected = "schedule fails verification: incident edges (0, 1) and (0, 3) share step 1"
     assert _error(build_traditional, g, params_for(1), sched) == expected
     assert _error(block_metrics, g, params_for(1), sched) == expected
@@ -389,7 +389,7 @@ def test_child_edge_before_its_parent_edge_is_refused():
     # qubit 1 has left |+> when the dropped CNOT would fire
     g = Graph(3, [(0, 1), (1, 2)])
     t = tree_from_edges(3, 0, [(0, 1), (1, 2)])
-    sched = StepSchedule(t, {(0, 1): 2, (1, 2): 1})
+    sched = StepSchedule(g, t, {(0, 1): 2, (1, 2): 1})
     assert verify_schedule(g, sched) == []
     expected = ("schedule fails verification: tree edge (1, 2) at step 1 does not follow "
                 "its parent edge (0, 1) at step 2")
@@ -416,7 +416,7 @@ def test_accepted_schedules_build_equivalent_circuits():
         p = int(rng.integers(1, 3))
         params = AnsatzParams(p, tuple(rng.uniform(0, np.pi, p)), tuple(rng.uniform(0, np.pi, p)))
         try:
-            opt = build_optimized(g, params, sched.tree, StepSchedule(sched.tree, step_of))
+            opt = build_optimized(g, params, sched.tree, StepSchedule(g, sched.tree, step_of))
         except ValueError:
             refused += 1
             continue

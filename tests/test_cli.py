@@ -245,6 +245,45 @@ def test_sweeps_refuse_flags_no_strategy_reads(capsys):
     assert outputs[0] == outputs[1] and outputs[2] != outputs[3]
 
 
+def test_depth_sweep_of_a_seedless_family_runs_one_instance(capsys):
+    # unchecked, --seed and --trials repeated one graph: --seed 7, --trials 3
+    # and --trials 9 wrote the same bytes, and stderr_steps over roots
+    # shrank as 1/sqrt(trials) over copies of that graph
+    for family in ("complete", "cycle"):
+        sweep = ["bench-depth", "--family", family, "--n", "6"]
+        for flag, value in (("--seed", "7"), ("--seed", "0"), ("--trials", "3"),
+                            ("--trials", "20")):
+            assert main([*sweep, flag, value]) == 1
+            assert capsys.readouterr() == ("", f"error: {family} takes no {flag}, got {value}\n")
+    assert main(["bench-depth", "--family", "complete", "--n", "6", "--strategy", "dfs",
+                 "--average-over-roots"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",0.210819")  # 6 roots, 1 graph
+    # the success sweep seeds its angles from --seed and draws one pair per trial
+    success = ["bench-success", "--family", "cycle", "--n", "4", "--strategy", "dfs"]
+    outputs = []
+    for argv in ([], ["--seed", "7"], ["--trials", "3"]):
+        assert main([*success, *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 3
+
+
+def test_noisy_commands_refuse_too_many_qubits_before_synthesis(tmp_path, capsys, monkeypatch):
+    # a path of 11 vertices with 200,000 layers has 8.2 million gates, which
+    # the cap cannot hold: checked after synthesis, the run ran out of memory
+    path = tmp_path / "path11.txt"
+    path.write_text("11 10\n" + "".join(f"{v} {v + 1}\n" for v in range(10)))
+    with address_space_cap(128 << 20):
+        assert main(["simulate", str(path), "--p", "200000"]) == 1
+    assert capsys.readouterr() == ("", "error: too many qubits for density matrix: 11 > 10\n")
+    # the success sweep checks its largest n before its first run
+    import treeqaoa.bench
+
+    monkeypatch.setattr(treeqaoa.bench, "circuit_for", lambda *a: pytest.fail("synthesized"))
+    assert main(["bench-success", "--family", "erdos-renyi", "--p-edge", "0.5",
+                 "--n", "8,9,10,11", "--trials", "10"]) == 1
+    assert capsys.readouterr() == ("", "error: too many qubits for density matrix: 11 > 10\n")
+
+
 def test_huge_header_exits_nonzero(tmp_path, capsys):
     hostile = tmp_path / "hostile.txt"
     hostile.write_text(HOSTILE_HEADER)

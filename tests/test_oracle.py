@@ -17,7 +17,9 @@ from treeqaoa.oracle import (
     step_lower_bounds,
     tree_floors,
 )
-from treeqaoa.scheduling import schedule_to_text, schedule_tree_ordered, verify_schedule
+from treeqaoa.scheduling import (
+    StepSchedule, schedule_to_text, schedule_tree_ordered, verify_schedule,
+)
 from treeqaoa.trees import HeuristicConfig, RootedSpanningTree, build_greedy_tree
 
 from helpers import _min_coloring, _spanning_trees, solve_exact_reference
@@ -212,6 +214,25 @@ def test_k8_logs_the_pruned_search(caplog):
     # the floors (3 + 6 = 9) equal K8's optimum, so once a tree reaches 9
     # every other branch is cut: 120 trees reach a leaf, 29,309 without them
     assert 0 < colored <= leaves <= 1000
+
+
+def test_one_witness_is_built_per_solve(monkeypatch):
+    # the search keeps the best tree's order and colors; building the tree
+    # and schedule of every improving tree took 2.6 builds per solve
+    import treeqaoa.oracle as oracle
+
+    built = []
+    aligned = StepSchedule.aligned.__func__
+    monkeypatch.setattr(StepSchedule, "aligned",
+                        classmethod(lambda cls, *a: built.append("schedule") or aligned(cls, *a)))
+    monkeypatch.setattr(StepSchedule, "__init__", lambda *a: built.append("keyed"))
+    monkeypatch.setattr(oracle, "RootedSpanningTree",
+                        lambda *a: built.append("tree") or RootedSpanningTree(*a))
+    for k in (6, 7, 8):
+        built.clear()
+        result = solve_exact(generate_complete(k), 0)
+        assert built == ["tree", "schedule"]
+        assert verify_schedule(generate_complete(k), result.witness_schedule) == []
 
 
 def test_matches_reference_oracle_at_eight_vertices():

@@ -141,8 +141,8 @@ def test_non_int_steps_are_refused_where_the_schedule_is_made():
         step_of[(2, 3)] = step_of[(0, 3)] = bad  # (0, 3) sorts first
         message = f"edge (0, 3) has step {bad!r}, not an int"
         with pytest.raises(ValueError, match=re.escape(message)):
-            StepSchedule(t, step_of)
-    assert StepSchedule(t, dict(good)) == schedule_tree_ordered(g, t)
+            StepSchedule(g, t, step_of)
+    assert StepSchedule(g, t, dict(good)) == schedule_tree_ordered(g, t)
 
 
 def test_verify_accepts_scheduler_outputs():
@@ -162,14 +162,14 @@ def test_verify_accepts_scheduler_outputs():
 def test_verify_flags_parent_step_reuse():
     g = Graph(3, [(0, 1), (1, 2)])
     t = tree_from_edges(3, 0, [(0, 1), (1, 2)])
-    sched = StepSchedule(tree=t, step_of={(0, 1): 1, (1, 2): 1})
+    sched = StepSchedule(g, tree=t, step_of={(0, 1): 1, (1, 2): 1})
     violations = verify_schedule(g, sched)
     assert any("ancestor" in v for v in violations)
 
 
 def test_verify_flags_incident_conflict():
     g = Graph(3, [(0, 1), (0, 2)])
-    sched = StepSchedule(tree=None, step_of={(0, 1): 1, (0, 2): 1})
+    sched = StepSchedule(g, tree=None, step_of={(0, 1): 1, (0, 2): 1})
     violations = verify_schedule(g, sched)
     assert len(violations) == 1
     assert "share step 1" in violations[0]
@@ -181,25 +181,19 @@ def test_verify_flags_nontree_before_tree_phase():
     sched = schedule_tree_ordered(g, t)
     bad = dict(sched.step_of)
     bad[(0, 3)] = 1  # the non-tree edge, shoved into the tree phase
-    broken = StepSchedule(t, bad)
+    broken = StepSchedule(g, t, bad)
     assert any("tree phase" in v for v in verify_schedule(g, broken))
 
 
 def _corrupt(rng, g, step_of):
-    """A copy of step_of with one to four of: an edge re-stepped, an edge
-    dropped, a non-graph edge added, a step set to -1, 0 or 10^12."""
+    """A copy of step_of with one to four of: an edge re-stepped, a step set
+    to -1, 0 or 10^12."""
     step_of = dict(step_of)
     last = max(step_of.values())
     for _ in range(int(rng.integers(1, 5))):
-        kind = int(rng.integers(4))
         e = g.edges[int(rng.integers(g.m))]
-        if kind == 0:
+        if rng.integers(2):
             step_of[e] = int(rng.integers(1, last + 1))
-        elif kind == 1:
-            step_of.pop(e, None)
-        elif kind == 2:
-            u, v = sorted(int(x) for x in rng.choice(g.n + 2, size=2, replace=False))
-            step_of[(u, v)] = int(rng.integers(1, last + 1))
         else:
             step_of[e] = (-1, 0, 10 ** 12)[int(rng.integers(3))]
     return step_of
@@ -209,8 +203,7 @@ def test_verify_matches_reference_on_corrupted_schedules():
     # full message lists against the ancestor-walking reference; the cap
     # turns a per-step allocation for a step of 10^12 into MemoryError
     rng = np.random.default_rng(1212)
-    seen = dict.fromkeys(["has no step", "not in graph", "share step", "of its ancestor",
-                          "tree edge missing", "tree phase"], 0)
+    seen = dict.fromkeys(["share step", "of its ancestor", "tree phase"], 0)
     with address_space_cap(256 << 20):
         for _ in range(2000):
             n = int(rng.integers(2, 31))
@@ -218,7 +211,7 @@ def test_verify_matches_reference_on_corrupted_schedules():
                                      seed=int(rng.integers(2 ** 32)))
             for strategy in STRATEGIES:
                 sched = schedule_for(g, strategy, int(rng.integers(n)), int(rng.integers(1, 6)))
-                broken = StepSchedule(sched.tree, _corrupt(rng, g, sched.step_of))
+                broken = StepSchedule(g, sched.tree, _corrupt(rng, g, sched.step_of))
                 expected = verify_schedule_reference(g, broken)
                 assert verify_schedule(g, broken) == expected
                 for key in seen:
@@ -270,7 +263,6 @@ def test_builder_steps_are_aligned_with_the_graph_edges():
             sched = schedule_for(g, strategy, int(rng.integers(n)), int(rng.integers(1, 6)))
             assert sched.edges is g.edges and len(sched.steps) == g.m
             assert sched.step_of == dict(zip(g.edges, sched.steps))
-            assert sched.step_of is sched.step_of  # derived once
             if sched.tree is not None:
                 assert [g.edges[i] for i in sched.tree_index()] == list(sched.tree.edges)
 
@@ -283,15 +275,52 @@ def test_hand_built_map_equals_the_builder_schedule():
         g = generate_erdos_renyi(n, float(rng.uniform(0.2, 0.8)), seed=int(rng.integers(2 ** 32)))
         for strategy in STRATEGIES:
             sched = schedule_for(g, strategy, int(rng.integers(n)), 3)
-            # keys in reverse canonical order: the constructor sorts them
-            by_hand = StepSchedule(sched.tree, dict(reversed(sched.step_of.items())))
-            assert by_hand == sched and by_hand.edges == g.edges and by_hand.edges is not g.edges
+            # keys in reverse canonical order: the constructor takes g's order
+            by_hand = StepSchedule(g, sched.tree, dict(reversed(sched.step_of.items())))
+            assert by_hand == sched and by_hand.edges is g.edges
+            assert by_hand.tree_index() == sched.tree_index()
             assert verify_schedule(g, by_hand) == []
             assert (by_hand.num_steps, by_hand.tree_steps(), by_hand.delayed_start_total) == \
                 (sched.num_steps, sched.tree_steps(), sched.delayed_start_total)
             assert circuit_for(g, by_hand, params).gates == circuit_for(g, sched, params).gates
             assert block_metrics(g, params, by_hand) == block_metrics(g, params, sched)
             assert schedule_to_text(g, by_hand) == schedule_to_text(g, sched)
+
+
+def test_constructor_names_the_first_fault():
+    # unchecked, a map with missing or extra edges made a schedule that
+    # verify_schedule, tree_index() and schedule_to_text each had to refuse
+    g = generate_cycle(5)  # edges (0, 1) (0, 4) (1, 2) (2, 3) (3, 4)
+    t = build_dfs_tree(g, 0)
+    good = schedule_tree_ordered(g, t).step_of
+    dropped = {e: s for e, s in good.items() if e not in ((1, 2), (3, 4))}
+    added = good | {(2, 4): 1, (0, 2): 1}
+    non_int = good | {(2, 3): 2.0}
+    other_tree = build_dfs_tree(generate_cycle(6), 0)
+    for tree, step_of, message in (
+        (t, dropped, "edge (1, 2) has no step"),
+        (t, dropped | {(0, 2): 1}, "edge (1, 2) has no step"),
+        (t, added, "scheduled edge (0, 2) not in graph"),
+        (t, added | {(2, 3): None}, "scheduled edge (0, 2) not in graph"),
+        (None, non_int, "edge (2, 3) has step 2.0, not an int"),
+        (other_tree, non_int, "edge (2, 3) has step 2.0, not an int"),
+        (other_tree, good, "tree does not span this graph"),
+        (tree_from_edges(5, 0, [(0, 1), (0, 2), (0, 3), (0, 4)]), good,  # (0, 2) is no edge
+         "tree does not span this graph"),
+    ):
+        with pytest.raises(ValueError) as info:
+            StepSchedule(g, tree, step_of)
+        assert str(info.value) == message
+
+
+def test_verify_gives_one_violation_for_a_schedule_of_another_graph():
+    # every schedule covers its own graph, so against another graph there
+    # is nothing to check edge by edge
+    c5, c6 = generate_cycle(5), generate_cycle(6)
+    for sched in (schedule_traditional(c6), schedule_tree_ordered(c6, build_dfs_tree(c6, 0))):
+        assert verify_schedule(c5, sched) == ["schedule does not cover exactly this graph's edges"]
+        with pytest.raises(ValueError, match="does not cover exactly"):
+            schedule_to_text(c5, sched)
 
 
 def test_tree_edge_outside_the_graph_is_refused():
